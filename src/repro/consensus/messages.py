@@ -25,12 +25,14 @@ class ClientRequest(Message):
 
     kind = "client-request"
 
-    __slots__ = ("request_id", "txns", "digest", "sequence")
+    __slots__ = ("request_id", "txns", "digest", "sequence", "_payload_bytes")
 
     def __init__(self, sender: str, request_id: int, txns: Tuple[Transaction, ...]):
         super().__init__(sender)
         self.request_id = request_id
         self.txns = txns
+        # sized once: every broadcast copy and crypto cost call asks again
+        self._payload_bytes = 16 + sum(txn.wire_bytes() for txn in txns)
         #: SHA-256 of the batch string; computed (and paid for) by the
         #: primary's batch-thread, not here.
         self.digest: Optional[str] = None
@@ -42,7 +44,7 @@ class ClientRequest(Message):
         return len(self.txns)
 
     def payload_bytes(self) -> int:
-        return 16 + sum(txn.wire_bytes() for txn in self.txns)
+        return self._payload_bytes
 
     def batch_bytes(self) -> bytes:
         """The single string representation of the whole batch that the

@@ -24,6 +24,14 @@ WIRE_HEADER_BYTES = 64
 
 _message_ids = itertools.count(1)
 
+#: wire bytes of one authentication token, by scheme name
+AUTH_TOKEN_BYTES = {
+    "none": 0,
+    "ed25519": 64,
+    "rsa": 256,
+    "cmac-aes": 16,
+}
+
 
 class Message:
     """Base class for everything that crosses the simulated network."""
@@ -56,14 +64,8 @@ class Message:
     def auth_bytes(self) -> int:
         if self.auth is None:
             return 0
-        per_token = {
-            "none": 0,
-            "ed25519": 64,
-            "rsa": 256,
-            "cmac-aes": 16,
-        }[self.auth.scheme.value]
         # MAC vectors ship only the receiver's own token on each copy.
-        return per_token
+        return AUTH_TOKEN_BYTES[self.auth.scheme.value]
 
     def wire_bytes(self) -> int:
         """Total size used for bandwidth and per-byte crypto costs."""

@@ -1,27 +1,53 @@
 """NIC-level transport between endpoints.
 
-Model per message, src → dst:
+Every endpoint has one full-duplex NIC, modelled as two FIFO servers
+(transmit and receive), each a busy flag plus a backlog.  Per message,
+src → dst:
 
-1. The message enters ``src``'s transmit queue; the TX NIC process drains
-   it FIFO, occupying the NIC for ``size ÷ bandwidth`` (serialisation).
-2. After the topology's one-way propagation latency it reaches ``dst``'s
-   receive queue; the RX NIC process occupies the receiving NIC for the
-   same serialisation time, then delivers into ``dst.inbox``.
+1. ``Network.send`` hands the message to ``src``'s TX server: it starts
+   serialising at once if the NIC is idle, or joins the TX backlog.
+   Serialisation occupies the NIC for ``size ÷ bandwidth``.
+2. At serialisation end (``_tx_done``) the fault plan decides delivery, and
+   the message arrives at ``dst`` one propagation latency later
+   (``_arrive``), where it starts or queues for RX service.
+3. RX serialisation takes the same time; at its end (``_rx_done``) the
+   message is handed to ``dst.inbox`` and the next RX entry starts.
 
-Both ends matter: a primary broadcasting large ``Pre-prepare`` messages is
-TX-bound, while a primary collecting 2f+1 ``Prepare``/``Commit`` messages
-from every backup is RX-bound.  The fault plan is consulted at transmit
-time (sender crash) and delivery time (receiver crash, drops, partitions).
+That is three kernel callbacks per delivered message.  Both ends matter: a
+primary broadcasting large ``Pre-prepare`` messages is TX-bound, while a
+primary collecting 2f+1 ``Prepare``/``Commit`` messages from every backup
+is RX-bound.  The fault plan is consulted at send time (sender crash), at
+serialisation end (drops, partitions) and at RX end (receiver crash).
+
+A bounded inbox's policy applies at hand-off.  Under ``block``, a full
+inbox stalls the RX server: the message waits in the inbox's putter list
+(behind an :class:`_RxStall`), later arrivals wait in the RX backlog, and
+service resumes in order once the node's input threads free a slot.
+``reject`` and ``shed_oldest`` never stall; their losses count as drops.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Iterable, Optional
 
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.topology import Topology
 from repro.sim.queues import SimQueue
+
+
+class _RxStall:
+    """Stands in for a parked producer when a ``block`` inbox is full: the
+    inbox resumes it after admitting the stalled message."""
+
+    __slots__ = ("endpoint",)
+
+    def __init__(self, endpoint: "Endpoint"):
+        self.endpoint = endpoint
+
+    def resume(self, _accepted: bool) -> None:
+        self.endpoint._rx_next()
 
 
 class Endpoint:
@@ -31,13 +57,12 @@ class Endpoint:
         self.network = network
         self.name = name
         self.nic_gbps = nic_gbps  # None = topology default
-        sim = network.sim
         #: messages ready for the node's input threads
-        self.inbox = SimQueue(sim, name=f"{name}.inbox")
-        self._tx_queue = SimQueue(sim, name=f"{name}.tx")
-        self._rx_queue = SimQueue(sim, name=f"{name}.rx")
-        sim.spawn(self._tx_loop(), name=f"{name}.tx-nic")
-        sim.spawn(self._rx_loop(), name=f"{name}.rx-nic")
+        self.inbox = SimQueue(network.sim, name=f"{name}.inbox")
+        self._tx_busy = False
+        self._tx_backlog: deque = deque()  # (dst, message, size)
+        self._rx_busy = False
+        self._rx_backlog: deque = deque()  # (message, size)
 
     def _transmission_ns(self, size_bytes: int) -> int:
         if self.nic_gbps is None:
@@ -45,46 +70,72 @@ class Endpoint:
         bits = size_bytes * 8
         return int(bits / (self.nic_gbps * 1e9) * 1e9)
 
-    def _tx_loop(self):
-        network = self.network
-        sim = network.sim
-        while True:
-            dst, message, size = yield self._tx_queue.get()
-            tx_ns = self._transmission_ns(size)
-            if tx_ns:
-                yield tx_ns
-                network.nic_busy.add(tx_ns)
-            if network.faults.should_deliver(self.name, dst, sim.now):
-                latency = network.topology.one_way_latency_ns
-                if network.topology.jitter_ns:
-                    latency += sim.rng.randint(0, network.topology.jitter_ns)
-                endpoint = network.endpoints[dst]
-                sim.schedule(latency, endpoint._rx_queue.put_nowait, (message, size))
-            else:
-                network.dropped_messages += 1
+    # -- transmit server -------------------------------------------------
+    def _transmit(self, dst: str, message: Message, size: int) -> None:
+        if self._tx_busy:
+            self._tx_backlog.append((dst, message, size))
+        else:
+            self._tx_busy = True
+            self._tx_start(dst, message, size)
 
-    def _rx_loop(self):
+    def _tx_start(self, dst: str, message: Message, size: int) -> None:
+        tx_ns = self._transmission_ns(size)
+        self.network.sim.schedule(tx_ns, self._tx_done, dst, message, size, tx_ns)
+
+    def _tx_done(self, dst: str, message: Message, size: int, tx_ns: int) -> None:
         network = self.network
         sim = network.sim
-        while True:
-            message, size = yield self._rx_queue.get()
-            tx_ns = self._transmission_ns(size)
-            if tx_ns:
-                yield tx_ns
-            if network.faults.is_crashed(self.name, sim.now):
-                network.dropped_messages += 1
-                continue
-            inbox = self.inbox
-            if inbox.capacity is None:
-                inbox.put_nowait(message)
-            elif inbox.policy == "block":
-                # back-pressure onto the RX NIC: delivery stalls (and the
-                # RX queue grows) until the input threads catch up
-                yield inbox.put(message)
-            elif not inbox.offer(message):
-                # "reject" refused the newest arrival; shed_oldest drops
-                # are accounted by the inbox's on_shed callback instead
-                network.dropped_messages += 1
+        if tx_ns:
+            network.nic_busy.add(tx_ns)
+        if network.faults.should_deliver(self.name, dst, sim.now):
+            topology = network.topology
+            latency = topology.one_way_latency_ns
+            if topology.jitter_ns:
+                latency += sim.rng.randint(0, topology.jitter_ns)
+            sim.schedule(latency, network.endpoints[dst]._arrive, message, size)
+        else:
+            network.dropped_messages += 1
+        if self._tx_backlog:
+            self._tx_start(*self._tx_backlog.popleft())
+        else:
+            self._tx_busy = False
+
+    # -- receive server --------------------------------------------------
+    def _arrive(self, message: Message, size: int) -> None:
+        if self._rx_busy:
+            self._rx_backlog.append((message, size))
+        else:
+            self._rx_busy = True
+            self._rx_start(message, size)
+
+    def _rx_start(self, message: Message, size: int) -> None:
+        self.network.sim.schedule(self._transmission_ns(size), self._rx_done, message)
+
+    def _rx_done(self, message: Message) -> None:
+        network = self.network
+        inbox = self.inbox
+        if network.faults.is_crashed(self.name, network.sim.now):
+            network.dropped_messages += 1
+        elif inbox.capacity is None:
+            inbox.put_nowait(message)
+        elif inbox.policy == "block":
+            if len(inbox) >= inbox.capacity:
+                # back-pressure onto the RX NIC: service stalls (and the
+                # RX backlog grows) until the input threads catch up
+                inbox.put(message)._bind(network.sim, _RxStall(self))
+                return
+            inbox.put_nowait(message)
+        elif not inbox.offer(message):
+            # "reject" refused the newest arrival; shed_oldest drops
+            # are accounted by the inbox's on_shed callback instead
+            network.dropped_messages += 1
+        self._rx_next()
+
+    def _rx_next(self) -> None:
+        if self._rx_backlog:
+            self._rx_start(*self._rx_backlog.popleft())
+        else:
+            self._rx_busy = False
 
 
 class Network:
@@ -124,7 +175,7 @@ class Network:
         return endpoint
 
     def send(self, src: str, dst: str, message: Message) -> None:
-        """Queue ``message`` for transmission src → dst."""
+        """Hand ``message`` to ``src``'s NIC for transmission to ``dst``."""
         if dst not in self.endpoints:
             raise KeyError(f"unknown destination endpoint {dst!r}")
         if self.faults.is_crashed(src, self.sim.now):
@@ -134,7 +185,7 @@ class Network:
         self.messages_sent += 1
         self.bytes_sent += size
         message.created_at = self.sim.now
-        self.endpoints[src]._tx_queue.put_nowait((dst, message, size))
+        self.endpoints[src]._transmit(dst, message, size)
 
     def broadcast(self, src: str, destinations: Iterable[str], message: Message) -> None:
         """Send one copy of ``message`` to every destination (not ``src``)."""

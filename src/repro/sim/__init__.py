@@ -2,9 +2,9 @@
 
 This package is the substrate on which the whole reproduction runs.  Real
 threads in Python cannot exhibit the behaviour the paper measures (the GIL
-serialises CPU-bound pipeline stages), so replicas, their pipeline threads,
-clients and the network are all modelled as coroutine *processes* scheduled
-on a simulated clock.  Simulated threads compete for simulated CPU cores,
+serialises CPU-bound pipeline stages), so replicas, their pipeline threads
+and clients are modelled as coroutine *processes*, and the network's NICs as
+plain kernel callbacks, all scheduled on a simulated clock.  Simulated threads compete for simulated CPU cores,
 which is what lets the thread-saturation and core-count experiments
 (Figures 9 and 16 of the paper) reproduce on any host machine.
 

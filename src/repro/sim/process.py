@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
+from repro.sim.events import SimEvent
+
 
 class ProcessFailure(RuntimeError):
     """Wraps an exception that escaped a simulation process."""
@@ -29,8 +31,6 @@ class Process:
     __slots__ = ("sim", "generator", "name", "completion", "finished", "result")
 
     def __init__(self, sim, generator: Generator, name: str = ""):
-        from repro.sim.events import SimEvent
-
         self.sim = sim
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
@@ -53,20 +53,20 @@ class Process:
         self._dispatch(effect)
 
     def _dispatch(self, effect: Any) -> None:
-        from repro.sim.events import SimEvent, Timeout
-
-        if isinstance(effect, int):
+        if type(effect) is int:
             self.sim.schedule(effect, self.resume, None)
-        elif isinstance(effect, (Timeout, SimEvent)):
-            effect._bind(self.sim, self)
-        elif isinstance(effect, Process):
-            effect.completion._bind(self.sim, self)
-        elif hasattr(effect, "_bind"):
-            effect._bind(self.sim, self)
-        else:
+            return
+        bind = getattr(effect, "_bind", None)
+        if bind is None:
             self._finish_error(
                 TypeError(f"process {self.name!r} yielded non-effect {effect!r}")
             )
+            return
+        bind(self.sim, self)
+
+    def _bind(self, sim, process: "Process") -> None:
+        """Effect protocol: a process yielding this one joins it."""
+        self.completion._bind(sim, process)
 
     def _finish(self, result: Any) -> None:
         self.finished = True

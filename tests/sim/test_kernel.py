@@ -164,3 +164,43 @@ def test_determinism_same_seed_same_trace():
 
     assert build_and_run(7) == build_and_run(7)
     assert build_and_run(7) != build_and_run(8)
+
+
+@pytest.mark.parametrize("effect", ["x", 1.5, None])
+def test_yielding_non_effect_names_the_process(effect):
+    sim = Simulator()
+
+    def bad():
+        yield effect
+
+    sim.spawn(bad(), name="confused")
+    with pytest.raises(ProcessFailure, match="confused") as excinfo:
+        sim.run()
+    assert isinstance(excinfo.value.original, TypeError)
+
+
+def test_join_running_and_finished_process():
+    """Joiners of a running process wake when it finishes; joining it after
+    it finished resumes at once with the same result."""
+    sim = Simulator()
+    results = []
+
+    def child():
+        yield Timeout(50)
+        return "done"
+
+    def joiner(label, child_process, delay):
+        yield Timeout(delay)
+        value = yield child_process
+        results.append((label, sim.now, value))
+
+    child_process = sim.spawn(child())
+    sim.spawn(joiner("early", child_process, 10))
+    sim.spawn(joiner("also-early", child_process, 20))
+    sim.spawn(joiner("late", child_process, 80))
+    sim.run()
+    assert results == [
+        ("early", 50, "done"),
+        ("also-early", 50, "done"),
+        ("late", 80, "done"),
+    ]

@@ -1,0 +1,127 @@
+"""Model pinning: small fixed deployments must reproduce a recorded history.
+
+Each case builds a deterministic deployment, runs its warm-up and
+measurement window, and compares the modelled outcome against values
+recorded once from a known-good build: a sha256 over one replica's
+executed ``(sequence, batch digest)`` log and chain head, the number of
+completed client requests, and the request-latency p50/p99.
+
+Simulator refactors (kernel, transport, dispatch) must not change *what*
+is modelled, only how fast it runs, so any difference here is a model
+change.  If one is intended, re-record the table with::
+
+    PYTHONPATH=src python tests/sim/test_model_pinning.py
+
+and say in the change description why the history moved.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from repro.core import ResilientDBSystem, SystemConfig
+from repro.sim.clock import micros, millis
+
+
+def _small(**overrides) -> SystemConfig:
+    params = dict(
+        num_replicas=4,
+        num_clients=32,
+        client_groups=4,
+        batch_size=6,
+        ycsb_records=300,
+        warmup=millis(20),
+        measure=millis(40),
+        seed=7,
+    )
+    params.update(overrides)
+    return SystemConfig(**params)
+
+
+def _fault_free(system):
+    return "r0"
+
+
+def _primary_crash(system):
+    system.crash_primary(at_ns=millis(30))
+    return "r1"
+
+
+def _jitter_and_loss(system):
+    network = system.network
+    network.topology = dataclasses.replace(network.topology, jitter_ns=micros(20))
+    system.faults.drop_link("r0", "r3", probability=0.3)
+    system.faults.drop_link("client0", "r0", probability=0.3)
+    return "r0"
+
+
+#: name -> (config, setup hook returning the replica to fingerprint)
+CASES = {
+    "pbft-n4": (lambda: _small(), _fault_free),
+    "rcc-m2": (lambda: _small(protocol="rcc", num_primaries=2), _fault_free),
+    "zyzzyva": (lambda: _small(protocol="zyzzyva"), _fault_free),
+    "poe": (lambda: _small(protocol="poe"), _fault_free),
+    "pbft-primary-crash": (
+        lambda: _small(
+            measure=millis(100),
+            client_retransmit=millis(4),
+            view_change_timeout=millis(12),
+        ),
+        _primary_crash,
+    ),
+    "pbft-jitter-lossy": (
+        lambda: _small(client_retransmit=millis(5)),
+        _jitter_and_loss,
+    ),
+    # a bounded block-policy inbox stalls the RX NIC under load
+    "pbft-blocking-inbox": (
+        lambda: _small(
+            num_clients=128, batch_size=20, inbox_capacity=2, queue_policy="block"
+        ),
+        _fault_free,
+    ),
+}
+
+
+def observe(name: str) -> dict:
+    """Run one case; returns its pinned observables."""
+    make_config, setup = CASES[name]
+    system = ResilientDBSystem(make_config())
+    replica_id = setup(system)
+    result = system.run()
+    replica = system.replicas[replica_id]
+    digest = hashlib.sha256()
+    for sequence, batch_digest in replica.executed_log:
+        digest.update(f"{sequence}:{batch_digest};".encode("utf-8"))
+    digest.update(replica.chain.head().block_hash().encode("utf-8"))
+    return {
+        "history": digest.hexdigest()[:24],
+        "completed": result.completed_requests,
+        "p50_s": result.latency_p50_s,
+        "p99_s": result.latency_p99_s,
+    }
+
+
+#: recorded from the build before the NIC FIFO-server transport
+EXPECTED = {
+    'pbft-blocking-inbox': {'history': '9c91da1f93353cba174d9690', 'completed': 5440, 'p50_s': 0.000901445, 'p99_s': 0.001073827},
+    'pbft-jitter-lossy': {'history': '21407643f829449414e4ff40', 'completed': 1320, 'p50_s': 0.000758303, 'p99_s': 0.006357611},
+    'pbft-n4': {'history': 'f01767b20ec03d2de352d588', 'completed': 1704, 'p50_s': 0.000722655, 'p99_s': 0.001240708},
+    'pbft-primary-crash': {'history': '4e195b3c9892a044736f1e66', 'completed': 819, 'p50_s': 0.000768257, 'p99_s': 0.030284654},
+    'poe': {'history': '511d34e1672d0139b1109406', 'completed': 2040, 'p50_s': 0.000599175, 'p99_s': 0.00100642},
+    'rcc-m2': {'history': 'd201d9a005161ffc5e9d1842', 'completed': 1332, 'p50_s': 0.000826229, 'p99_s': 0.001410701},
+    'zyzzyva': {'history': '8c325f8a73665c52fa402972', 'completed': 2586, 'p50_s': 0.000474178, 'p99_s': 0.000767654},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_modelled_history_is_pinned(name):
+    assert observe(name) == EXPECTED[name]
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        print(f"    {case!r}: {observe(case)!r},")
