@@ -19,6 +19,7 @@ import sys
 from typing import List, Optional
 
 from repro.core import ResilientDBSystem, SystemConfig
+from repro.engines import PROTOCOLS
 from repro.sim.clock import millis
 
 
@@ -31,8 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser("run", help="run one deployment and report")
-    run.add_argument("--protocol", choices=("pbft", "zyzzyva", "poe", "rcc"),
-                     default="pbft")
+    run.add_argument("--protocol", choices=PROTOCOLS, default="pbft")
     run.add_argument("--primaries", type=int, default=None, metavar="M",
                      help="concurrent consensus instances for --protocol "
                      "rcc (default: 2 for rcc, 1 otherwise)")

@@ -1,12 +1,17 @@
-"""BFT consensus protocols: PBFT and Zyzzyva.
+"""BFT consensus protocols: PBFT, Zyzzyva and PoE.
 
 Protocol logic is written as message-driven state machines
 (:class:`~repro.consensus.pbft.PbftReplica`,
-:class:`~repro.consensus.zyzzyva.ZyzzyvaReplica`) that return *actions*
-(send, broadcast, execute, timers) rather than performing I/O.  The replica
-pipeline (:mod:`repro.core`) charges simulated CPU for each handled message
-and routes the actions; tests drive the state machines directly, with no
-simulator, to check safety properties.
+:class:`~repro.consensus.zyzzyva.ZyzzyvaReplica`,
+:class:`~repro.consensus.poe.PoeReplica`, and RCC's
+:class:`~repro.multi.coordinator.InstanceCoordinator` over m PBFT lanes)
+that return *actions* (send, broadcast, execute, timers) rather than
+performing I/O.  All four implement one contract,
+:class:`~repro.consensus.base.ConsensusEngine` (``propose``, ``handle``,
+roles and host hooks); :mod:`repro.engines` maps protocol names to them.
+The replica pipeline (:mod:`repro.core`) charges simulated CPU for each
+handled message and routes the actions; tests drive the state machines
+directly, with no simulator, to check safety properties.
 
 Quorum arithmetic follows the paper (§2.1): ``n ≥ 3f + 1``; a replica is
 *prepared* after 2f matching ``Prepare`` messages and *committed* after
@@ -18,6 +23,7 @@ the client, falling back to a 2f+1 commit certificate.
 from repro.consensus.base import (
     Action,
     Broadcast,
+    ConsensusEngine,
     ExecuteReady,
     NotPrimaryError,
     ProposalError,
@@ -42,6 +48,7 @@ from repro.consensus.messages import (
     ViewChange,
 )
 from repro.consensus.pbft import PbftReplica
+from repro.consensus.poe import PoeReplica
 from repro.consensus.safety import (
     check_bounded_liveness,
     check_checkpoint_consistency,
@@ -58,12 +65,14 @@ __all__ = [
     "ClientResponse",
     "Commit",
     "CommitCertificate",
+    "ConsensusEngine",
     "ExecuteReady",
     "LocalCommit",
     "NewView",
     "NotPrimaryError",
     "OrderRequest",
     "PbftReplica",
+    "PoeReplica",
     "Prepare",
     "PrePrepare",
     "ProposalError",

@@ -1,13 +1,17 @@
-"""Shared consensus machinery: quorum arithmetic and protocol actions.
+"""Shared consensus machinery: quorum arithmetic, protocol actions and
+the engine contract.
 
 State machines return lists of :class:`Action` objects; the host (the
 replica pipeline, or a test harness) interprets them.  Keeping protocol
 logic free of I/O and timing makes safety properties directly testable.
+Every engine implements :class:`ConsensusEngine`, so the host drives any
+protocol without knowing which one it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.consensus.messages import ClientRequest
 from repro.net.message import Message
@@ -156,3 +160,122 @@ class EnterView(Action):
     the new primary's pipeline enables its batch/sequencing stages)."""
 
     view: int
+
+
+# ----------------------------------------------------------------------
+# the engine contract
+# ----------------------------------------------------------------------
+class ConsensusEngine:
+    """The one interface the replica pipeline drives an engine through.
+
+    :class:`~repro.consensus.pbft.PbftReplica`,
+    :class:`~repro.consensus.zyzzyva.ZyzzyvaReplica` and
+    :class:`~repro.consensus.poe.PoeReplica` subclass it and inherit the
+    single-primary defaults below;
+    :class:`~repro.multi.coordinator.InstanceCoordinator` implements the
+    same members over its ``num_instances`` lanes.
+
+    Proposing and message handling:
+
+    - ``propose(digest, batch) -> (proposal, actions)``: assign the
+      engine's next sequence to ``batch``.  Raises
+      :class:`NotPrimaryError` (or another :class:`ProposalError`) when
+      the engine cannot propose; the host re-steers the requests.
+    - ``handle(message) -> actions``: feed one verified protocol message
+      to the engine; ``None`` means the engine does not speak that kind.
+
+    Roles and routing: ``is_primary`` (may propose now; on the RCC
+    coordinator "leads an active lane"), ``forward_target(sender,
+    request_id)`` (where a non-primary forwards a client request),
+    ``steer_instance(sender, request_id)`` (the lane a busy-nack names),
+    ``proposer_of(sequence, view)`` (block attribution) and
+    ``global_sequence(lane, sequence)`` (the execution-order sequence of
+    a lane-local one).
+
+    Host hooks: ``advance_stable(sequence)`` (checkpoint stable),
+    ``on_view_change_timeout(sequence)`` and ``suspect_primary()``
+    (return view-change actions), ``absorb_adopted_log(log_slice)`` and
+    ``clear_view_change_wedges()`` (after a state-transfer adoption).
+
+    Attributes: ``view``, ``in_view_change``, ``rejected_messages``,
+    ``num_instances`` (lanes; above 1 the host runs a periodic
+    ``balance_actions()`` pass) and ``history_chain`` (the host charges
+    and extends a Zyzzyva history hash per proposed and executed batch).
+    """
+
+    #: message kind -> handler function; each engine fills its own
+    _HANDLERS: Dict[str, Callable] = {}
+    history_chain = False
+    num_instances = 1
+    in_view_change = False
+
+    def __init__(
+        self,
+        replica_id: str,
+        replica_ids: Tuple[str, ...],
+        quorum: QuorumConfig,
+        sequence_window: int = 100_000,
+    ):
+        if replica_id not in replica_ids:
+            raise ValueError(f"{replica_id!r} not in replica set")
+        if len(replica_ids) != quorum.n:
+            raise ValueError(
+                f"replica set size {len(replica_ids)} != quorum n {quorum.n}"
+            )
+        self.replica_id = replica_id
+        self.replica_ids = tuple(replica_ids)
+        self.quorum = quorum
+        self.sequence_window = sequence_window
+        self.view = 0
+        self.stable_sequence = 0
+        #: statistics the host surfaces in experiment reports
+        self.rejected_messages = 0
+
+    def primary_of(self, view: int) -> str:
+        return self.replica_ids[view % len(self.replica_ids)]
+
+    @property
+    def is_primary(self) -> bool:
+        return self.primary_of(self.view) == self.replica_id
+
+    def _require_primary(self) -> None:
+        if not self.is_primary:
+            raise NotPrimaryError(
+                f"{self.replica_id} is not primary of view {self.view}"
+            )
+
+    def _in_window(self, sequence: int) -> bool:
+        return (
+            self.stable_sequence < sequence
+            <= self.stable_sequence + self.sequence_window
+        )
+
+    def handle(self, message: Message) -> Optional[List[Action]]:
+        handler = self._HANDLERS.get(message.kind)
+        if handler is None:
+            return None
+        return handler(self, message)
+
+    def forward_target(self, sender: str, request_id: int) -> str:
+        return self.primary_of(self.view)
+
+    def steer_instance(self, sender: str, request_id: int) -> int:
+        return 0
+
+    def proposer_of(self, sequence: int, view: int) -> str:
+        return self.primary_of(view)
+
+    def global_sequence(self, lane: int, sequence: int) -> int:
+        return sequence
+
+    def on_view_change_timeout(self, sequence: int) -> List[Action]:
+        return []
+
+    def suspect_primary(self) -> List[Action]:
+        return []
+
+    def absorb_adopted_log(self, log_slice) -> None:
+        pass
+
+    def clear_view_change_wedges(self) -> None:
+        pass

@@ -30,11 +30,10 @@ from repro.consensus.base import (
     Action,
     Broadcast,
     CancelViewChangeTimer,
+    ConsensusEngine,
     EnterView,
     ExecuteReady,
-    NotPrimaryError,
     ProposalError,
-    QuorumConfig,
     StartViewChangeTimer,
     ViewChangeInProgress,
 )
@@ -65,43 +64,17 @@ class Slot:
     committed: bool = False
 
 
-class PbftReplica:
+class PbftReplica(ConsensusEngine):
     """One replica's PBFT engine.  I/O-free; returns actions."""
 
-    def __init__(
-        self,
-        replica_id: str,
-        replica_ids: Tuple[str, ...],
-        quorum: QuorumConfig,
-        sequence_window: int = 100_000,
-    ):
-        if replica_id not in replica_ids:
-            raise ValueError(f"{replica_id!r} not in replica set")
-        if len(replica_ids) != quorum.n:
-            raise ValueError(
-                f"replica set size {len(replica_ids)} != quorum n {quorum.n}"
-            )
-        self.replica_id = replica_id
-        self.replica_ids = tuple(replica_ids)
-        self.quorum = quorum
-        self.sequence_window = sequence_window
-        self.view = 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.in_view_change = False
-        self.stable_sequence = 0
+        #: sequence :meth:`propose` assigns next; kept above every
+        #: sequence this engine proposed, saw, or knows to be stable
+        self.next_sequence = 1
         self.slots: Dict[int, Slot] = {}
         self._view_change_votes: Dict[int, Dict[str, ViewChange]] = {}
-        #: statistics the host surfaces in experiment reports
-        self.rejected_messages = 0
-
-    # ------------------------------------------------------------------
-    # roles
-    # ------------------------------------------------------------------
-    def primary_of(self, view: int) -> str:
-        return self.replica_ids[view % len(self.replica_ids)]
-
-    @property
-    def is_primary(self) -> bool:
-        return self.primary_of(self.view) == self.replica_id
 
     def _slot(self, sequence: int) -> Slot:
         slot = self.slots.get(sequence)
@@ -110,26 +83,23 @@ class PbftReplica:
             self.slots[sequence] = slot
         return slot
 
-    def _in_window(self, sequence: int) -> bool:
-        return (
-            self.stable_sequence < sequence
-            <= self.stable_sequence + self.sequence_window
-        )
-
     # ------------------------------------------------------------------
     # normal case: primary
     # ------------------------------------------------------------------
-    def make_preprepare(
-        self, sequence: int, digest: str, request: ClientRequest
+    def propose(
+        self, digest: str, request: ClientRequest
     ) -> Tuple[PrePrepare, List[Action]]:
-        """Primary only: propose ``request`` at ``sequence``.
+        """Primary only: propose ``request`` at :attr:`next_sequence`.
 
         The caller (batch-thread) computed and paid for ``digest``.
         """
-        if not self.is_primary:
-            raise NotPrimaryError(
-                f"{self.replica_id} is not primary of view {self.view}"
-            )
+        return self.make_preprepare(self.next_sequence, digest, request)
+
+    def make_preprepare(
+        self, sequence: int, digest: str, request: ClientRequest
+    ) -> Tuple[PrePrepare, List[Action]]:
+        """Primary only: propose ``request`` at an explicit ``sequence``."""
+        self._require_primary()
         if self.in_view_change:
             raise ViewChangeInProgress("cannot propose during a view change")
         slot = self._slot(sequence)
@@ -138,6 +108,7 @@ class PbftReplica:
         message = PrePrepare(self.replica_id, self.view, sequence, digest, request)
         slot.preprepare = message
         slot.digest = digest
+        self.next_sequence = max(self.next_sequence, sequence + 1)
         return message, [Broadcast(message), StartViewChangeTimer(sequence)]
 
     # ------------------------------------------------------------------
@@ -270,6 +241,7 @@ class PbftReplica:
         if sequence <= self.stable_sequence:
             return 0
         self.stable_sequence = sequence
+        self.next_sequence = max(self.next_sequence, sequence + 1)
         old = [s for s in self.slots if s <= sequence]
         for s in old:
             del self.slots[s]
@@ -396,4 +368,18 @@ class PbftReplica:
         self._view_change_votes = {
             v: votes for v, votes in self._view_change_votes.items() if v > new_view
         }
+        # a fresh primary must sequence above everything it has seen
+        high = max(self.stable_sequence, max(self.slots, default=0))
+        self.next_sequence = max(self.next_sequence, high + 1)
         return [EnterView(new_view)]
+
+    def clear_view_change_wedges(self) -> None:
+        self.in_view_change = False
+
+    _HANDLERS = {
+        "pre-prepare": handle_preprepare,
+        "prepare": handle_prepare,
+        "commit": handle_commit,
+        "view-change": handle_view_change,
+        "new-view": handle_new_view,
+    }

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-from repro.consensus.base import Action, Broadcast, ExecuteReady, QuorumConfig
+from repro.consensus.base import Action, Broadcast, ConsensusEngine, ExecuteReady
 from repro.consensus.messages import ClientRequest
 from repro.net.message import Message
 
@@ -83,38 +83,13 @@ class _PoeSlot:
     executed: bool = False
 
 
-class PoeReplica:
+class PoeReplica(ConsensusEngine):
     """One replica's PoE engine.  I/O-free; returns actions."""
 
-    def __init__(
-        self,
-        replica_id: str,
-        replica_ids: Tuple[str, ...],
-        quorum: QuorumConfig,
-        sequence_window: int = 100_000,
-    ):
-        if replica_id not in replica_ids:
-            raise ValueError(f"{replica_id!r} not in replica set")
-        if len(replica_ids) != quorum.n:
-            raise ValueError(
-                f"replica set size {len(replica_ids)} != quorum n {quorum.n}"
-            )
-        self.replica_id = replica_id
-        self.replica_ids = tuple(replica_ids)
-        self.quorum = quorum
-        self.sequence_window = sequence_window
-        self.view = 0
-        self.next_order_sequence = 1
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.next_sequence = 1
         self.slots: Dict[int, _PoeSlot] = {}
-        self.stable_sequence = 0
-        self.rejected_messages = 0
-
-    def primary_of(self, view: int) -> str:
-        return self.replica_ids[view % len(self.replica_ids)]
-
-    @property
-    def is_primary(self) -> bool:
-        return self.primary_of(self.view) == self.replica_id
 
     def _slot(self, sequence: int) -> _PoeSlot:
         slot = self.slots.get(sequence)
@@ -126,13 +101,12 @@ class PoeReplica:
     # ------------------------------------------------------------------
     # primary side
     # ------------------------------------------------------------------
-    def make_propose(
+    def propose(
         self, digest: str, request: ClientRequest
     ) -> Tuple[Propose, List[Action]]:
-        if not self.is_primary:
-            raise RuntimeError(f"{self.replica_id} is not primary of view {self.view}")
-        sequence = self.next_order_sequence
-        self.next_order_sequence += 1
+        self._require_primary()
+        sequence = self.next_sequence
+        self.next_sequence += 1
         message = Propose(self.replica_id, self.view, sequence, digest, request)
         slot = self._slot(sequence)
         slot.propose = message
@@ -151,11 +125,7 @@ class PoeReplica:
         if message.view != self.view or message.sender != self.primary_of(self.view):
             self.rejected_messages += 1
             return []
-        if not (
-            self.stable_sequence
-            < message.sequence
-            <= self.stable_sequence + self.sequence_window
-        ):
+        if not self._in_window(message.sequence):
             self.rejected_messages += 1
             return []
         slot = self._slot(message.sequence)
@@ -177,11 +147,7 @@ class PoeReplica:
         if message.view != self.view:
             self.rejected_messages += 1
             return []
-        if not (
-            self.stable_sequence
-            < message.sequence
-            <= self.stable_sequence + self.sequence_window
-        ):
+        if not self._in_window(message.sequence):
             self.rejected_messages += 1
             return []
         slot = self._slot(message.sequence)
@@ -216,3 +182,8 @@ class PoeReplica:
         for s in old:
             del self.slots[s]
         return len(old)
+
+    _HANDLERS = {
+        "poe-propose": handle_propose,
+        "poe-support": handle_support,
+    }

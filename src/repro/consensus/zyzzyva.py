@@ -27,7 +27,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.consensus.base import Action, Broadcast, ExecuteReady, QuorumConfig, SendTo
+from repro.consensus.base import (
+    Action,
+    Broadcast,
+    ConsensusEngine,
+    ExecuteReady,
+    SendTo,
+)
 from repro.consensus.messages import (
     ClientRequest,
     CommitCertificate,
@@ -45,58 +51,34 @@ def extend_history(history_hash: str, digest: str) -> str:
     return digest_bytes(f"{history_hash}|{digest}".encode("utf-8"))
 
 
-class ZyzzyvaReplica:
+class ZyzzyvaReplica(ConsensusEngine):
     """One replica's Zyzzyva engine.  I/O-free; returns actions."""
 
-    def __init__(
-        self,
-        replica_id: str,
-        replica_ids: Tuple[str, ...],
-        quorum: QuorumConfig,
-        sequence_window: int = 100_000,
-    ):
-        if replica_id not in replica_ids:
-            raise ValueError(f"{replica_id!r} not in replica set")
-        if len(replica_ids) != quorum.n:
-            raise ValueError(
-                f"replica set size {len(replica_ids)} != quorum n {quorum.n}"
-            )
-        self.replica_id = replica_id
-        self.replica_ids = tuple(replica_ids)
-        self.quorum = quorum
-        self.sequence_window = sequence_window
-        self.view = 0
+    history_chain = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         #: primary-side ordered history (the primary computes the chain as
         #: it assigns sequence numbers)
         self.history_hash = GENESIS_HISTORY
-        self.next_order_sequence = 1
+        self.next_sequence = 1
         #: backup-side record of accepted order-requests
         self.accepted: Dict[int, str] = {}
         #: highest sequence covered by a commit certificate we have seen
         self.max_committed = 0
-        self.stable_sequence = 0
-        self.rejected_messages = 0
-
-    def primary_of(self, view: int) -> str:
-        return self.replica_ids[view % len(self.replica_ids)]
-
-    @property
-    def is_primary(self) -> bool:
-        return self.primary_of(self.view) == self.replica_id
 
     # ------------------------------------------------------------------
     # primary side
     # ------------------------------------------------------------------
-    def make_order_request(
+    def propose(
         self, digest: str, request: ClientRequest
     ) -> Tuple[OrderRequest, List[Action]]:
         """Primary only: assign the next sequence number and order the
         request.  The primary extends the history chain here, so sequence
         assignment and history are atomic."""
-        if not self.is_primary:
-            raise RuntimeError(f"{self.replica_id} is not primary of view {self.view}")
-        sequence = self.next_order_sequence
-        self.next_order_sequence += 1
+        self._require_primary()
+        sequence = self.next_sequence
+        self.next_sequence += 1
         self.history_hash = extend_history(self.history_hash, digest)
         message = OrderRequest(
             self.replica_id, self.view, sequence, digest, self.history_hash, request
@@ -123,11 +105,7 @@ class ZyzzyvaReplica:
         if message.sender != self.primary_of(message.view):
             self.rejected_messages += 1
             return []
-        if not (
-            self.stable_sequence
-            < message.sequence
-            <= self.stable_sequence + self.sequence_window
-        ):
+        if not self._in_window(message.sequence):
             self.rejected_messages += 1
             return []
         known = self.accepted.get(message.sequence)
@@ -173,3 +151,8 @@ class ZyzzyvaReplica:
         for s in old:
             del self.accepted[s]
         return len(old)
+
+    _HANDLERS = {
+        "order-request": handle_order_request,
+        "commit-certificate": handle_commit_certificate,
+    }

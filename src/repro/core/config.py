@@ -13,6 +13,7 @@ from typing import Optional
 
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.schemes import SchemeName
+from repro.engines import PROTOCOLS
 from repro.sim.clock import millis, seconds
 from repro.storage.base import StorageCosts
 from repro.storage.blockchain import CertificationMode
@@ -220,7 +221,7 @@ class SystemConfig:
 
     # ------------------------------------------------------------------
     def __post_init__(self):
-        if self.protocol not in ("pbft", "zyzzyva", "poe", "rcc"):
+        if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.num_replicas < 4:
             raise ValueError("BFT needs at least 4 replicas")

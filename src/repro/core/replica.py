@@ -9,8 +9,8 @@ Each replica runs, as simulated threads competing for its CPU cores:
   requests to the current primary.
 - ``batch-i`` threads (primary): verify client signatures, assemble up to
   ``batch_size`` transactions into a batch, hash the batch string once,
-  hand the batch to the consensus engine (``PrePrepare``/``OrderRequest``)
-  and sign the proposal.
+  hand the batch to the consensus engine's ``propose`` and sign the
+  proposal.
 - ``worker`` thread: verifies and feeds every protocol message to the
   consensus state machine, signs and emits the resulting votes.
 - ``execute`` thread: strictly ordered execution.  Committed batches can
@@ -28,6 +28,10 @@ Each replica runs, as simulated threads competing for its CPU cores:
 
 Setting ``batch_threads=0`` or ``execute_threads=0`` folds those stages
 into the worker thread — the degenerate pipelines of the Fig. 8/9 study.
+
+The replica drives its engine only through the
+:class:`~repro.consensus.base.ConsensusEngine` contract, so every stage
+above is the same for PBFT, Zyzzyva, PoE and multi-primary RCC.
 """
 
 from __future__ import annotations
@@ -54,12 +58,9 @@ from repro.consensus.messages import (
     SpecResponse,
 )
 from repro.flow import AdmissionController, FlowStats
-from repro.consensus.pbft import PbftReplica
-from repro.consensus.poe import PoeReplica
-from repro.consensus.zyzzyva import GENESIS_HISTORY, ZyzzyvaReplica, extend_history
+from repro.consensus.zyzzyva import GENESIS_HISTORY, extend_history
 from repro.crypto.hashing import digest_bytes, digest_cost
-from repro.multi.coordinator import InstanceCoordinator
-from repro.multi.unifier import global_sequence
+from repro.engines import ENGINES
 from repro.net.message import Message
 from repro.sim.events import SimEvent, Timer
 from repro.sim.queues import SimPriorityQueue, SimQueue
@@ -90,16 +91,9 @@ class Replica:
         quorum = QuorumConfig(n=config.num_replicas, f=config.f)
         self.quorum = quorum
         replica_ids = system.replica_ids
-        if config.protocol == "pbft":
-            self.engine = PbftReplica(replica_id, replica_ids, quorum)
-        elif config.protocol == "zyzzyva":
-            self.engine = ZyzzyvaReplica(replica_id, replica_ids, quorum)
-        elif config.protocol == "rcc":
-            self.engine = InstanceCoordinator(
-                replica_id, replica_ids, quorum, config.num_primaries
-            )
-        else:
-            self.engine = PoeReplica(replica_id, replica_ids, quorum)
+        self.engine = ENGINES[config.protocol](
+            replica_id, replica_ids, quorum, config.num_primaries
+        )
 
         # -- overload protection (repro.flow) ---------------------------
         self.flow = FlowStats()
@@ -198,7 +192,6 @@ class Replica:
         )
 
         # -- primary-side sequencing ----------------------------------------
-        self.next_batch_sequence = 1
         self._seen_requests: set = set()
         #: out-of-order ablation: a capacity-1 token gate (§4.5)
         self._consensus_token: Optional[SimQueue] = None
@@ -244,7 +237,7 @@ class Replica:
                 self.sim.spawn(
                     self._execute_loop(), name=f"{self.replica_id}.execute"
                 )
-            if isinstance(self.engine, InstanceCoordinator):
+            if self.engine.num_instances > 1:
                 self.sim.spawn(
                     self._balance_loop(), name=f"{self.replica_id}.balance"
                 )
@@ -253,9 +246,7 @@ class Replica:
 
     @property
     def is_primary(self) -> bool:
-        if isinstance(self.engine, InstanceCoordinator):
-            return self.engine.leads_any()
-        return self.engine.primary_of(self.engine.view) == self.replica_id
+        return self.engine.is_primary
 
     @property
     def committed_watermark(self) -> int:
@@ -271,20 +262,9 @@ class Replica:
         """Highest sequence actually executed, in order."""
         return self.next_exec_sequence - 1
 
-    def current_primary(self) -> str:
-        if isinstance(self.engine, InstanceCoordinator):
-            # multi-primary: "the" primary is lane 0's (for attribution
-            # only; forwarding uses the request's steer lane instead)
-            return self.engine.instances[0].primary_of(
-                self.engine.instances[0].view
-            )
-        return self.engine.primary_of(self.engine.view)
-
     def _forward_target_for(self, request: ClientRequest) -> str:
         """Where a non-leading replica forwards this client request."""
-        if isinstance(self.engine, InstanceCoordinator):
-            return self.engine.forward_target(request.sender, request.request_id)
-        return self.current_primary()
+        return self.engine.forward_target(request.sender, request.request_id)
 
     # ==================================================================
     # input threads (§4.1)
@@ -428,11 +408,10 @@ class Replica:
             reason,
             retry_after_ns=self.config.client_retransmit or 0,
         )
-        if isinstance(self.engine, InstanceCoordinator):
-            # name the busy lane so RCC clients can steer away from it
-            nack.instance = self.engine.steer_instance(
-                request.sender, request.request_id
-            )
+        # name the busy lane so RCC clients can steer away from it
+        nack.instance = self.engine.steer_instance(
+            request.sender, request.request_id
+        )
         self.flow.nacks_sent += 1
         self.flow.nacked_keys.add((request.sender, request.request_id))
         self._enqueue_output(request.sender, nack)
@@ -509,42 +488,26 @@ class Replica:
         batch.digest = digest_bytes(batch.batch_bytes())
         if self._consensus_token is not None:
             yield self._consensus_token.get()  # out-of-order disabled
-        if not self.is_primary:
-            # view changed while this batch was being formed; forward the
-            # raw requests to the new primary
+        proposal = None
+        if self.is_primary:
+            if self.engine.history_chain:
+                # the engine extends the primary history hash as it
+                # assigns the sequence; charge that hash here
+                yield self.cpu.run(
+                    digest_cost(64, config.crypto_costs), thread_id
+                )
+            try:
+                proposal, actions = self.engine.propose(batch.digest, batch)
+            except ProposalError:
+                pass  # e.g. every led RCC lane wedged mid view change
+        if proposal is None:
+            # the view changed while this batch was being formed: forward
+            # the raw requests to their (new) primaries
             for request in valid_requests:
                 self._enqueue_output(self._forward_target_for(request), request)
             if self._consensus_token is not None:
                 self._consensus_token.put_nowait(None)
             return
-        if config.protocol == "pbft":
-            sequence = self.next_batch_sequence
-            self.next_batch_sequence += 1
-            proposal, actions = self.engine.make_preprepare(
-                sequence, batch.digest, batch
-            )
-        elif config.protocol == "rcc":
-            try:
-                proposal, actions = self.engine.propose(batch.digest, batch)
-            except ProposalError:
-                # every led lane wedged mid-flight (view changes); re-steer
-                # the raw requests to their lanes' new primaries
-                for request in valid_requests:
-                    self._enqueue_output(
-                        self._forward_target_for(request), request
-                    )
-                if self._consensus_token is not None:
-                    self._consensus_token.put_nowait(None)
-                return
-        elif config.protocol == "zyzzyva":
-            # the Zyzzyva engine assigns the sequence and extends the
-            # primary history hash; charge that hash here
-            yield self.cpu.run(
-                digest_cost(64, config.crypto_costs), thread_id
-            )
-            proposal, actions = self.engine.make_order_request(batch.digest, batch)
-        else:
-            proposal, actions = self.engine.make_propose(batch.digest, batch)
         # the batch now owns a sequence number: these requests are past
         # the point where overload shedding may touch them.  (An RCC
         # proposal's sequence is already the global round-robin slot.)
@@ -585,21 +548,6 @@ class Replica:
     # ==================================================================
     # worker thread (§4.3–§4.4)
     # ==================================================================
-    _HANDLERS = {
-        "pre-prepare": "handle_preprepare",
-        "prepare": "handle_prepare",
-        "commit": "handle_commit",
-        "view-change": "handle_view_change",
-        "new-view": "handle_new_view",
-        "order-request": "handle_order_request",
-        "commit-certificate": "handle_commit_certificate",
-        "poe-propose": "handle_propose",
-        "poe-support": "handle_support",
-        # state transfer is host-level, not engine-level
-        "state-request": None,
-        "state-response": None,
-    }
-
     #: proposal messages whose batch digest a backup must re-verify
     _PROPOSAL_KINDS = ("pre-prepare", "order-request", "poe-propose")
 
@@ -666,6 +614,7 @@ class Replica:
                 self.invalid_messages += 1
                 return
         yield self.cpu.run(costs.worker_message_ns, thread_id)
+        # state transfer is host-level, not engine-level
         if message.kind == "state-request":
             yield from self._serve_state_transfer(message, thread_id)
             return
@@ -686,13 +635,13 @@ class Replica:
                 if digest_bytes(batch.batch_bytes()) != message.digest:
                     self.invalid_messages += 1
                     return
-        handler_name = self._HANDLERS.get(message.kind)
-        if handler_name is None:
-            self.invalid_messages += 1
-            return
         if self._recovering:
             return  # consensus participation resumes after adoption
-        actions = getattr(self.engine, handler_name)(message)
+        actions = self.engine.handle(message)
+        if actions is None:
+            # authenticated, but a kind this engine does not speak
+            self.invalid_messages += 1
+            return
         yield from self._dispatch(actions, thread_id)
 
     # ==================================================================
@@ -708,14 +657,10 @@ class Replica:
                     "commit",  # PBFT: broadcasting Commit == prepared
                     "poe-support",  # PoE: broadcasting Support == endorsed
                 ):
-                    sequence = action.message.sequence
-                    if isinstance(self.engine, InstanceCoordinator):
-                        # lane-local sequence → the global slot spans track
-                        sequence = global_sequence(
-                            action.message.instance,
-                            sequence,
-                            self.engine.num_instances,
-                        )
+                    # lane-local sequence → the global slot spans track
+                    sequence = self.engine.global_sequence(
+                        action.message.instance, action.message.sequence
+                    )
                     spans.stamp_sequence(sequence, "prepare", self.sim.now)
                 receivers = [
                     rid for rid in self.system.replica_ids if rid != self.replica_id
@@ -798,8 +743,6 @@ class Replica:
 
     def _on_vc_timeout(self, sequence: int) -> None:
         self._vc_timers.pop(sequence, None)
-        if not isinstance(self.engine, (PbftReplica, InstanceCoordinator)):
-            return
         actions = self.engine.on_view_change_timeout(sequence)
         if actions:
             self.sim.spawn(
@@ -808,9 +751,7 @@ class Replica:
             )
 
     def _arm_forward_probe(self) -> None:
-        if self._forward_probe is not None or not isinstance(
-            self.engine, (PbftReplica, InstanceCoordinator)
-        ):
+        if self._forward_probe is not None:
             return
         self._forward_probe = (len(self.executed_log), self.engine.view)
         Timer(self.sim, self.config.view_change_timeout, self._on_forward_probe)
@@ -846,14 +787,6 @@ class Replica:
         # counts keeps the admission budget from leaking across views
         if not self.is_primary:
             self.admission.clear_backlog()
-        # a fresh primary must sequence above everything it has seen
-        if isinstance(self.engine, PbftReplica):
-            high = max(
-                [self.engine.stable_sequence, self.next_exec_sequence - 1]
-                + list(self.engine.slots),
-                default=0,
-            )
-            self.next_batch_sequence = max(self.next_batch_sequence, high + 1)
 
     # ==================================================================
     # ordered execution (§4.5–§4.6)
@@ -917,7 +850,8 @@ class Replica:
             # design that §4.6's commit-certificate blocks avoid)
             cost += digest_cost(256, config.crypto_costs)
         cost += costs.block_create_ns
-        if isinstance(self.engine, ZyzzyvaReplica):
+        history_chain = self.engine.history_chain
+        if history_chain:
             cost += digest_cost(96, config.crypto_costs)  # history extension
         yield self.cpu.run(cost, thread_id)
 
@@ -932,7 +866,7 @@ class Replica:
                         else:
                             self.store.read(op.key)
         self._append_block(action, batch)
-        if isinstance(self.engine, ZyzzyvaReplica):
+        if history_chain:
             # h_n = H(h_{n-1} || d_n)
             self.exec_history_hash = extend_history(
                 self.exec_history_hash, batch.digest or ""
@@ -983,15 +917,11 @@ class Replica:
                     (rid, b"speculative")
                     for rid in self.system.replica_ids[: self.quorum.commit_quorum]
                 )
-        if isinstance(self.engine, InstanceCoordinator):
-            proposer = self.engine.proposer_of(action.sequence, action.view)
-        else:
-            proposer = self.engine.primary_of(action.view)
         block = Block(
             sequence=action.sequence,
             digest=batch.digest or "",
             view=action.view,
-            proposer=proposer,
+            proposer=self.engine.proposer_of(action.sequence, action.view),
             txn_count=batch.txn_count,
             prev_hash=prev_hash,
             commit_certificate=certificate,
@@ -1180,19 +1110,15 @@ class Replica:
         }
         if response.blocks:
             self.chain.adopt(response.blocks, response.pruned_through)
-        if isinstance(self.engine, InstanceCoordinator):
-            # fold the adopted entries into the per-lane commit logs so
-            # the unification invariant (executed ⊆ lane commits) holds
-            # across recovery
-            self.engine.absorb_adopted_log(response.log_slice)
+        # RCC folds the adopted entries into its per-lane commit logs so
+        # the unification invariant (executed ⊆ lane commits) holds
+        # across recovery
+        self.engine.absorb_adopted_log(response.log_slice)
         self.engine.advance_stable(response.executed_sequence)
         # adopting a quorum-attested state is proof the system is live; a
         # lone, never-quorate primary suspicion would otherwise wedge this
-        # replica in in_view_change forever
-        if isinstance(self.engine, PbftReplica) and self.engine.in_view_change:
-            self.engine.in_view_change = False
-        if isinstance(self.engine, InstanceCoordinator):
-            self.engine.clear_view_change_wedges()
+        # replica in a view change forever
+        self.engine.clear_view_change_wedges()
         self._recovering = False
         self.recoveries_completed += 1
         self.system.metrics.counter("recoveries").increment()

@@ -23,6 +23,7 @@ from repro.core.config import SystemConfig
 from repro.core.replica import Replica
 from repro.crypto.keys import KeyStore
 from repro.crypto.schemes import make_scheme
+from repro.multi.unifier import steer_lane
 from repro.net.faults import FaultPlan
 from repro.net.topology import Topology
 from repro.net.transport import Network
@@ -193,12 +194,9 @@ class ResilientDBSystem:
         """
         if self.config.protocol != "rcc":
             return self.contact_replica()
-        import zlib
-
-        lane = (
-            zlib.crc32(sender.encode("utf-8")) + request_id
-        ) % self.config.num_primaries
-        return self.replica_ids[lane]
+        return self.replica_ids[
+            steer_lane(sender, request_id, self.config.num_primaries)
+        ]
 
     def lane_primaries(self) -> Tuple[str, ...]:
         """The current primary of every consensus lane — the replicas a

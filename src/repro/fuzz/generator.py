@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.byzantine import POLICY_NAMES
+from repro.engines import PROTOCOLS
 from repro.fuzz.scenario import (
     BACKUP_POLICIES,
     PRIMARY_POLICIES,
@@ -29,7 +30,6 @@ from repro.sim.rng import DeterministicRNG
 
 #: knob pools — kept small so a 50-run campaign finishes in well under two
 #: minutes while still crossing protocol × faults × byzantine × config
-_PROTOCOLS = ("pbft", "zyzzyva", "poe", "rcc")
 _REPLICA_COUNTS = (4, 4, 4, 5, 7)  # weighted toward fast 4-replica runs
 _CLIENT_COUNTS = (12, 16, 24, 32)
 _GROUP_COUNTS = (1, 2, 4)
@@ -71,7 +71,7 @@ def generate_scenario(master_seed: int, index: int) -> Scenario:
     """Deterministically draw scenario ``index`` of campaign ``master_seed``."""
     rng = DeterministicRNG(master_seed).fork(f"scenario-{index}")
 
-    protocol = rng.choice(_PROTOCOLS)
+    protocol = rng.choice(PROTOCOLS)
     num_replicas = rng.choice(_REPLICA_COUNTS)
     f = (num_replicas - 1) // 3
     num_clients = rng.choice(_CLIENT_COUNTS)

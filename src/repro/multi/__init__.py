@@ -4,7 +4,8 @@ Runs m independent PBFT instances — one per primary — and deterministically
 unifies their per-instance commit orders into one global execution order.
 See :mod:`repro.multi.unifier` for the round-robin mapping and
 :mod:`repro.multi.coordinator` for the instance coordinator the replica
-pipeline drives.
+pipeline drives through the same engine contract as any single-instance
+engine.
 """
 
 from repro.multi.coordinator import InstanceCoordinator, MultiProposal
@@ -13,6 +14,7 @@ from repro.multi.unifier import (
     global_sequence,
     instance_of,
     instance_sequence,
+    steer_lane,
     unify_commit_logs,
 )
 
@@ -23,5 +25,6 @@ __all__ = [
     "global_sequence",
     "instance_of",
     "instance_sequence",
+    "steer_lane",
     "unify_commit_logs",
 ]

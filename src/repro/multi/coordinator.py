@@ -35,15 +35,13 @@ Liveness across lanes:
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.consensus.base import (
     Action,
     Broadcast,
     CancelViewChangeTimer,
-    EnterView,
     ExecuteReady,
     NotPrimaryError,
     ProposalError,
@@ -53,7 +51,12 @@ from repro.consensus.base import (
 )
 from repro.consensus.messages import PrePrepare, RequestBatch, make_null_batch
 from repro.consensus.pbft import PbftReplica
-from repro.multi.unifier import global_sequence, instance_of, instance_sequence
+from repro.multi.unifier import (
+    global_sequence,
+    instance_of,
+    instance_sequence,
+    steer_lane,
+)
 
 
 @dataclass(frozen=True)
@@ -69,13 +72,12 @@ class MultiProposal:
 class InstanceCoordinator:
     """m concurrent PBFT instances unified into one global order.
 
-    Mirrors the slice of the :class:`~repro.consensus.pbft.PbftReplica`
-    interface the replica pipeline drives (message handlers,
-    ``advance_stable``, ``on_view_change_timeout``, ``suspect_primary``)
-    so the host treats it as just another engine.
+    Implements the :class:`~repro.consensus.base.ConsensusEngine`
+    contract, so the replica pipeline drives it like any single-instance
+    engine.
     """
 
-    protocol_name = "rcc"
+    history_chain = False
 
     #: a lane must lag the committing lane by at least this many full
     #: round-robin rounds before its watchdog view-change timer is armed
@@ -120,8 +122,6 @@ class InstanceCoordinator:
             )
             for k in range(num_instances)
         ]
-        #: next lane-local sequence this replica would propose per lane
-        self._next_propose: List[int] = [1] * num_instances
         #: contiguous committed lane-local prefix per lane
         self.frontier: List[int] = [0] * num_instances
         #: committed lane sequences above the frontier (gap tracking)
@@ -184,7 +184,9 @@ class InstanceCoordinator:
             if instance.is_primary and not instance.in_view_change
         ]
 
-    def leads_any(self) -> bool:
+    @property
+    def is_primary(self) -> bool:
+        """Leads at least one active lane."""
         return bool(self.lanes_led())
 
     def proposer_of(self, global_seq: int, view: int) -> str:
@@ -192,15 +194,14 @@ class InstanceCoordinator:
         lane = instance_of(global_seq, self.num_instances)
         return self.instances[lane].primary_of(view)
 
+    def global_sequence(self, lane: int, sequence: int) -> int:
+        return global_sequence(lane, sequence, self.num_instances)
+
     # ------------------------------------------------------------------
     # client steering
     # ------------------------------------------------------------------
     def steer_instance(self, sender: str, request_id: int) -> int:
-        """Deterministic lane for a client request — every node computes
-        the same lane, so forwarding converges."""
-        return (
-            zlib.crc32(sender.encode("utf-8")) + request_id
-        ) % self.num_instances
+        return steer_lane(sender, request_id, self.num_instances)
 
     def lane_primary(self, lane: int) -> str:
         """Current primary of one lane (the next view's primary while the
@@ -238,13 +239,9 @@ class InstanceCoordinator:
             )
         lane = lanes[self._lane_rr % len(lanes)]
         self._lane_rr += 1
-        sequence = self._next_propose[lane]
-        self._next_propose[lane] = sequence + 1
-        message, actions = self.instances[lane].make_preprepare(
-            sequence, digest, batch
-        )
+        message, actions = self.instances[lane].propose(digest, batch)
         proposal = MultiProposal(
-            sequence=global_sequence(lane, sequence, self.num_instances),
+            sequence=global_sequence(lane, message.sequence, self.num_instances),
             instance=lane,
             message=message,
         )
@@ -263,23 +260,20 @@ class InstanceCoordinator:
             high = max(
                 self.frontier[lane],
                 max(instance.slots, default=0),
-                self._next_propose[lane] - 1,
+                instance.next_sequence - 1,
             )
             target = max(target, high)
         actions: List[Action] = []
         for lane in self.lanes_led():
+            instance = self.instances[lane]
             proposed = 0
             while (
-                self._next_propose[lane] <= target
+                instance.next_sequence <= target
                 and proposed < self.MAX_SKIPS_PER_BALANCE
             ):
-                sequence = self._next_propose[lane]
-                self._next_propose[lane] = sequence + 1
                 batch = make_null_batch()
                 try:
-                    _msg, inner = self.instances[lane].make_preprepare(
-                        sequence, batch.digest, batch
-                    )
+                    _msg, inner = instance.propose(batch.digest, batch)
                 except ProposalError:
                     break
                 actions.extend(self._translate(lane, inner))
@@ -287,30 +281,17 @@ class InstanceCoordinator:
         return actions
 
     # ------------------------------------------------------------------
-    # message handlers (dispatch by envelope instance id)
+    # message handling (dispatch by envelope instance id)
     # ------------------------------------------------------------------
-    def _dispatch(self, handler: str, message) -> List[Action]:
-        lane = getattr(message, "instance", 0)
+    def handle(self, message) -> Optional[List[Action]]:
+        lane = message.instance
         if not 0 <= lane < self.num_instances:
             self.envelope_rejects += 1
             return []
-        actions = getattr(self.instances[lane], handler)(message)
+        actions = self.instances[lane].handle(message)
+        if actions is None:
+            return None  # not a PBFT message kind
         return self._translate(lane, actions)
-
-    def handle_preprepare(self, message) -> List[Action]:
-        return self._dispatch("handle_preprepare", message)
-
-    def handle_prepare(self, message) -> List[Action]:
-        return self._dispatch("handle_prepare", message)
-
-    def handle_commit(self, message) -> List[Action]:
-        return self._dispatch("handle_commit", message)
-
-    def handle_view_change(self, message) -> List[Action]:
-        return self._dispatch("handle_view_change", message)
-
-    def handle_new_view(self, message) -> List[Action]:
-        return self._dispatch("handle_new_view", message)
 
     # ------------------------------------------------------------------
     # host hooks: timers, suspicion, checkpoints, recovery
@@ -387,9 +368,6 @@ class InstanceCoordinator:
                     s for s in self._committed[lane] if s > lane_stable
                 }
                 self._advance_frontier(lane)
-            self._next_propose[lane] = max(
-                self._next_propose[lane], lane_stable + 1
-            )
         return dropped
 
     def absorb_adopted_log(self, log_slice) -> None:
@@ -470,25 +448,9 @@ class InstanceCoordinator:
                         global_sequence(lane, action.sequence, m)
                     )
                 )
-            elif isinstance(action, EnterView):
-                self._sync_next_propose(lane)
-                out.append(action)
-            else:  # pragma: no cover - future action types
+            else:  # EnterView, and future action types
                 out.append(action)
         return out
-
-    def _sync_next_propose(self, lane: int) -> None:
-        """Entering a new view: if we are its primary, sequence above
-        everything the lane has seen (the inner engine already re-proposed
-        carried slots and gap fillers, which live in ``slots``)."""
-        instance = self.instances[lane]
-        high = max(
-            instance.stable_sequence,
-            self.frontier[lane],
-            max(instance.slots, default=0),
-            max(self._committed[lane], default=0),
-        )
-        self._next_propose[lane] = max(self._next_propose[lane], high + 1)
 
     def _watchdogs_for_lagging_lanes(self, lane: int) -> List[Action]:
         """A commit in ``lane`` proves the deployment is live; arm

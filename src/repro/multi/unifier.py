@@ -22,9 +22,16 @@ bank and hypothesis properties can drive it directly.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.consensus.safety import SafetyViolation
+
+
+def steer_lane(sender: str, request_id: int, num_instances: int) -> int:
+    """The lane a client request is steered to.  Every client and replica
+    computes the same lane, so forwarding converges."""
+    return (zlib.crc32(sender.encode("utf-8")) + request_id) % num_instances
 
 
 def global_sequence(instance: int, instance_sequence: int, num_instances: int) -> int:

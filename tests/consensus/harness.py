@@ -14,14 +14,13 @@ from repro.consensus import (
     Broadcast,
     CancelViewChangeTimer,
     ClientRequest,
-    PbftReplica,
     QuorumConfig,
     SendTo,
     StartViewChangeTimer,
-    ZyzzyvaReplica,
 )
 from repro.consensus.base import EnterView, ExecuteReady
 from repro.crypto import digest_bytes
+from repro.engines import ENGINES
 from repro.workloads import Operation, OpType, Transaction
 
 
@@ -42,17 +41,11 @@ class Cluster:
     """N engines plus an in-memory message bus."""
 
     def __init__(self, n: int = 4, protocol: str = "pbft"):
-        from repro.consensus.poe import PoeReplica
-
         self.quorum = QuorumConfig.for_replicas(n)
         self.ids: Tuple[str, ...] = tuple(f"r{i}" for i in range(n))
-        engine_cls = {
-            "pbft": PbftReplica,
-            "zyzzyva": ZyzzyvaReplica,
-            "poe": PoeReplica,
-        }[protocol]
         self.replicas: Dict[str, object] = {
-            rid: engine_cls(rid, self.ids, self.quorum) for rid in self.ids
+            rid: ENGINES[protocol](rid, self.ids, self.quorum, 1)
+            for rid in self.ids
         }
         #: pending (src, dst, message) deliveries
         self.wire: deque = deque()
@@ -74,20 +67,17 @@ class Cluster:
         return any_replica.primary_of(any_replica.view)
 
     def propose(self, request: ClientRequest, sequence: Optional[int] = None):
-        """Feed a request to the current primary."""
+        """Feed a request to the current primary; an explicit ``sequence``
+        (PBFT only) bypasses the engine's own sequence assignment."""
         primary = self.replicas[self.primary_id()]
-        if isinstance(primary, PbftReplica):
-            if sequence is None:
-                sequence = max(primary.slots, default=0) + 1
-            _msg, actions = primary.make_preprepare(
+        if sequence is None:
+            message, actions = primary.propose(request.digest, request)
+        else:
+            message, actions = primary.make_preprepare(
                 sequence, request.digest, request
             )
-        elif isinstance(primary, ZyzzyvaReplica):
-            _msg, actions = primary.make_order_request(request.digest, request)
-        else:
-            _msg, actions = primary.make_propose(request.digest, request)
         self._apply(primary.replica_id, actions)
-        return sequence
+        return message.sequence
 
     # ------------------------------------------------------------------
     def _apply(self, rid: str, actions) -> None:
@@ -132,19 +122,8 @@ class Cluster:
             message = self.tamper(src, dst, message)
             if message is None:
                 return True
-        replica = self.replicas[dst]
-        handler = {
-            "pre-prepare": "handle_preprepare",
-            "prepare": "handle_prepare",
-            "commit": "handle_commit",
-            "view-change": "handle_view_change",
-            "new-view": "handle_new_view",
-            "order-request": "handle_order_request",
-            "commit-certificate": "handle_commit_certificate",
-            "poe-propose": "handle_propose",
-            "poe-support": "handle_support",
-        }[message.kind]
-        actions = getattr(replica, handler)(message)
+        actions = self.replicas[dst].handle(message)
+        assert actions is not None, f"{dst} cannot handle {message.kind!r}"
         self._apply(dst, actions)
         return True
 

@@ -241,6 +241,25 @@ def test_advance_stable_garbage_collects_slots():
     assert replica.advance_stable(3) == 0  # idempotent
 
 
+def test_next_sequence_stays_above_proposed_stable_and_seen():
+    quorum = QuorumConfig.for_replicas(4)
+    ids = ("r0", "r1", "r2", "r3")
+    primary = PbftReplica("r0", ids, quorum)
+    request = make_request("client0", 1)
+    primary.make_preprepare(5, request.digest, request)
+    assert primary.next_sequence == 6
+    primary.advance_stable(9)
+    assert primary.next_sequence == 10
+    message, _ = primary.propose(request.digest, request)
+    assert message.sequence == 10 and primary.next_sequence == 11
+    # a backup that saw votes up to sequence 7 sequences above them once
+    # a view change makes it primary
+    backup = PbftReplica("r1", ids, quorum)
+    backup.handle_prepare(Prepare("r2", 0, 7, "digest"))
+    backup._enter_view(1)
+    assert backup.propose(request.digest, request)[0].sequence == 8
+
+
 # ----------------------------------------------------------------------
 # view change
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consensus import QuorumConfig
+from repro.consensus import NotPrimaryError, QuorumConfig
 from repro.consensus.base import ExecuteReady
 from repro.consensus.poe import PoeReplica, Propose, Support
 from repro.consensus.safety import check_execution_consistency
@@ -142,8 +142,8 @@ def test_non_primary_cannot_propose():
     quorum = QuorumConfig.for_replicas(4)
     ids = ("r0", "r1", "r2", "r3")
     backup = PoeReplica("r1", ids, quorum)
-    with pytest.raises(RuntimeError):
-        backup.make_propose("d", make_request("c", 1))
+    with pytest.raises(NotPrimaryError):
+        backup.propose("d", make_request("c", 1))
 
 
 def test_advance_stable_gc():
@@ -151,6 +151,6 @@ def test_advance_stable_gc():
     ids = ("r0", "r1", "r2", "r3")
     primary = PoeReplica("r0", ids, quorum)
     for i in range(1, 6):
-        primary.make_propose(f"d{i}", make_request("c", i))
+        primary.propose(f"d{i}", make_request("c", i))
     assert primary.advance_stable(3) == 3
     assert sorted(primary.slots) == [4, 5]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consensus import QuorumConfig, ZyzzyvaReplica
+from repro.consensus import NotPrimaryError, QuorumConfig, ZyzzyvaReplica
 from repro.consensus.base import ExecuteReady, SendTo
 from repro.consensus.messages import CommitCertificate, LocalCommit, OrderRequest
 from repro.consensus.safety import check_execution_consistency
@@ -49,8 +49,8 @@ def test_history_hash_chains():
     quorum = QuorumConfig.for_replicas(4)
     ids = ("r0", "r1", "r2", "r3")
     primary = ZyzzyvaReplica("r0", ids, quorum)
-    first, _ = primary.make_order_request("d1", make_request("c", 1))
-    second, _ = primary.make_order_request("d2", make_request("c", 2))
+    first, _ = primary.propose("d1", make_request("c", 1))
+    second, _ = primary.propose("d2", make_request("c", 2))
     assert first.history_hash == extend_history(GENESIS_HISTORY, "d1")
     assert second.history_hash == extend_history(first.history_hash, "d2")
     assert first.history_hash != second.history_hash
@@ -60,8 +60,8 @@ def test_non_primary_cannot_order():
     quorum = QuorumConfig.for_replicas(4)
     ids = ("r0", "r1", "r2", "r3")
     backup = ZyzzyvaReplica("r1", ids, quorum)
-    with pytest.raises(RuntimeError):
-        backup.make_order_request("d", make_request("c", 1))
+    with pytest.raises(NotPrimaryError):
+        backup.propose("d", make_request("c", 1))
 
 
 def test_order_request_from_non_primary_rejected():
@@ -102,7 +102,7 @@ def test_speculative_flag_set():
     cluster = Cluster(4, protocol="zyzzyva")
     request = make_request("client0", 1)
     primary = cluster.replicas["r0"]
-    _msg, actions = primary.make_order_request(request.digest, request)
+    _msg, actions = primary.propose(request.digest, request)
     execute = [a for a in actions if isinstance(a, ExecuteReady)][0]
     assert execute.speculative
     assert execute.commit_proof == ()
@@ -148,7 +148,7 @@ def test_advance_stable_gc():
     ids = ("r0", "r1", "r2", "r3")
     primary = ZyzzyvaReplica("r0", ids, quorum)
     for i in range(1, 6):
-        primary.make_order_request(f"d{i}", make_request("c", i))
+        primary.propose(f"d{i}", make_request("c", i))
     assert primary.advance_stable(3) == 3
     assert sorted(primary.accepted) == [4, 5]
 

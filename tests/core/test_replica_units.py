@@ -85,9 +85,9 @@ def test_request_batch_size_accounting():
 
 def test_current_primary_tracks_engine_view(system):
     replica = system.replicas["r1"]
-    assert replica.current_primary() == "r0"
+    assert replica.engine.forward_target("client0", 1) == "r0"
     replica.engine.view = 1
-    assert replica.current_primary() == "r1"
+    assert replica.engine.forward_target("client0", 1) == "r1"
     assert replica.is_primary
 
 

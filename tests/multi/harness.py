@@ -26,15 +26,6 @@ from tests.consensus.harness import make_request
 
 __all__ = ["MultiCluster", "make_request"]
 
-_HANDLERS = {
-    "pre-prepare": "handle_preprepare",
-    "prepare": "handle_prepare",
-    "commit": "handle_commit",
-    "view-change": "handle_view_change",
-    "new-view": "handle_new_view",
-}
-
-
 class MultiCluster:
     """N coordinators (m lanes each) plus an in-memory message bus."""
 
@@ -107,8 +98,8 @@ class MultiCluster:
         src, dst, message = self.wire.popleft()
         if src in self.crashed or dst in self.crashed:
             return True
-        handler = _HANDLERS[message.kind]
-        actions = getattr(self.replicas[dst], handler)(message)
+        actions = self.replicas[dst].handle(message)
+        assert actions is not None, f"{dst} cannot handle {message.kind!r}"
         self._apply(dst, actions)
         return True
 

@@ -25,7 +25,7 @@ def test_lane_k_is_led_by_replica_k():
     assert cluster.replicas["r1"].lanes_led() == [1]
     assert cluster.replicas["r2"].lanes_led() == [2]
     assert cluster.replicas["r3"].lanes_led() == []
-    assert not cluster.replicas["r3"].leads_any()
+    assert not cluster.replicas["r3"].is_primary
 
 
 def test_propose_without_leading_any_lane_raises_typed_error():
@@ -218,7 +218,7 @@ def test_out_of_range_instance_is_rejected_at_the_envelope():
     message = proposal.message
     message.instance = 7
     target = cluster.replicas["r1"]
-    assert target.handle_preprepare(message) == []
+    assert target.handle(message) == []
     assert target.envelope_rejects == 1
     assert target.rejected_messages >= 1
 

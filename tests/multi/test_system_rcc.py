@@ -101,3 +101,17 @@ def test_deterministic_same_seed():
     assert results[0].completed_requests == results[1].completed_requests
     assert results[0].throughput_txns_per_s == results[1].throughput_txns_per_s
     assert results[0].chain_height == results[1].chain_height
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_client_steering_matches_the_coordinator_lane(m):
+    """Clients and replicas share one steering formula, so a request
+    lands on the primary of the lane every replica forwards it to."""
+    system = ResilientDBSystem(rcc_config(num_primaries=m))
+    coordinator = system.replicas["r0"].engine
+    for sender in ("client0", "client1", "client3", "client-x"):
+        for request_id in range(0, 60, 7):
+            lane = coordinator.steer_instance(sender, request_id)
+            assert system.steer_replica(sender, request_id) == (
+                system.replica_ids[lane]
+            )

@@ -58,6 +58,23 @@ def _jitter_and_loss(system):
     return "r0"
 
 
+def _rcc_lane_primary_crash(system):
+    # r1 leads lane 1 in view 0: its lane view-changes while lane 0 runs on
+    system.faults.crash_at("r1", millis(30))
+    return "r0"
+
+
+def _backup_crash_and_recover(system):
+    system.crash_replicas(1, at_ns=millis(25))
+    system.recover_replica("r3", at_ns=millis(60))
+    return "r3"
+
+
+def _equivocating_primary(system):
+    system.make_byzantine("r0", "equivocating-primary")
+    return "r1"
+
+
 #: name -> (config, setup hook returning the replica to fingerprint)
 CASES = {
     "pbft-n4": (lambda: _small(), _fault_free),
@@ -83,6 +100,51 @@ CASES = {
         ),
         _fault_free,
     ),
+    "rcc-m2-lane1-crash": (
+        lambda: _small(
+            protocol="rcc",
+            num_primaries=2,
+            measure=millis(100),
+            checkpoint_txns=60,
+            client_retransmit=millis(4),
+            view_change_timeout=millis(12),
+        ),
+        _rcc_lane_primary_crash,
+    ),
+    # state transfer, checkpoint-driven advance_stable, wedge clearing
+    "pbft-backup-recover": (
+        lambda: _small(
+            measure=millis(100),
+            checkpoint_txns=60,
+            client_retransmit=millis(4),
+            state_transfer_retry=millis(5),
+        ),
+        _backup_crash_and_recover,
+    ),
+    # adversary transform + backups' proposal re-hash rejection
+    "pbft-equivocating-primary": (
+        lambda: _small(
+            measure=millis(100),
+            client_retransmit=millis(4),
+            view_change_timeout=millis(12),
+        ),
+        _equivocating_primary,
+    ),
+    # 0B0E degenerate pipeline: the worker batches and executes inline
+    "pbft-0b0e": (
+        lambda: _small(batch_threads=0, execute_threads=0),
+        _fault_free,
+    ),
+    # busy-nacks from a small reject-policy batch queue
+    "poe-reject-busy": (
+        lambda: _small(
+            protocol="poe",
+            num_clients=128,
+            queue_policy="reject",
+            batch_queue_capacity=4,
+        ),
+        _fault_free,
+    ),
 }
 
 
@@ -105,14 +167,20 @@ def observe(name: str) -> dict:
     }
 
 
-#: recorded from the build before the NIC FIFO-server transport
+#: the first seven recorded from the build before the NIC FIFO-server
+#: transport; the rest from the build before the engine-contract refactor
 EXPECTED = {
+    'pbft-0b0e': {'history': '624bb7bebd14eb467a84edc2', 'completed': 1455, 'p50_s': 0.000879817, 'p99_s': 0.001082036},
+    'pbft-backup-recover': {'history': '2f9d37e03a7117a3535b24c5', 'completed': 4260, 'p50_s': 0.000719223, 'p99_s': 0.001243663},
     'pbft-blocking-inbox': {'history': '9c91da1f93353cba174d9690', 'completed': 5440, 'p50_s': 0.000901445, 'p99_s': 0.001073827},
+    'pbft-equivocating-primary': {'history': '22c7b019ffa325de5244d010', 'completed': 3612, 'p50_s': 0.000819886, 'p99_s': 0.001452567},
     'pbft-jitter-lossy': {'history': '21407643f829449414e4ff40', 'completed': 1320, 'p50_s': 0.000758303, 'p99_s': 0.006357611},
     'pbft-n4': {'history': 'f01767b20ec03d2de352d588', 'completed': 1704, 'p50_s': 0.000722655, 'p99_s': 0.001240708},
     'pbft-primary-crash': {'history': '4e195b3c9892a044736f1e66', 'completed': 819, 'p50_s': 0.000768257, 'p99_s': 0.030284654},
     'poe': {'history': '511d34e1672d0139b1109406', 'completed': 2040, 'p50_s': 0.000599175, 'p99_s': 0.00100642},
+    'poe-reject-busy': {'history': 'ab1f30a8984de9afd1b090d2', 'completed': 775, 'p50_s': 0.000595522, 'p99_s': 0.0117083},
     'rcc-m2': {'history': 'd201d9a005161ffc5e9d1842', 'completed': 1332, 'p50_s': 0.000826229, 'p99_s': 0.001410701},
+    'rcc-m2-lane1-crash': {'history': '6cd2ada936ab1e049368fdcd', 'completed': 821, 'p50_s': 0.001457237, 'p99_s': 0.030828573},
     'zyzzyva': {'history': '8c325f8a73665c52fa402972', 'completed': 2586, 'p50_s': 0.000474178, 'p99_s': 0.000767654},
 }
 
