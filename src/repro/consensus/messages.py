@@ -64,17 +64,21 @@ class RequestBatch:
     :meth:`batch_bytes` is that string.
     """
 
-    __slots__ = ("requests", "digest", "_batch_bytes")
+    __slots__ = (
+        "requests", "txn_count", "digest", "_payload_bytes", "_batch_bytes",
+    )
 
     def __init__(self, requests: Tuple[ClientRequest, ...]):
         self.requests = requests
+        # sized once: the requests are immutable, and every stage that
+        # touches the batch asks again
+        self.txn_count = sum(len(request.txns) for request in requests)
+        self._payload_bytes = 16 + sum(
+            request.payload_bytes() for request in requests
+        )
         #: SHA-256 over :meth:`batch_bytes`, set by the creating thread
         self.digest: Optional[str] = None
         self._batch_bytes: Optional[bytes] = None
-
-    @property
-    def txn_count(self) -> int:
-        return sum(len(request.txns) for request in self.requests)
 
     @property
     def is_null(self) -> bool:
@@ -82,7 +86,7 @@ class RequestBatch:
         return not self.requests
 
     def payload_bytes(self) -> int:
-        return 16 + sum(request.payload_bytes() for request in self.requests)
+        return self._payload_bytes
 
     def batch_bytes(self) -> bytes:
         if self._batch_bytes is None:

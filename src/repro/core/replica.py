@@ -26,6 +26,14 @@ Each replica runs, as simulated threads competing for its CPU cores:
 - ``output-i`` threads: drain per-thread send queues onto the NIC, with
   destinations spread across the threads (§4.1).
 
+The input and output threads are callback servers (:class:`_InputStage`,
+:class:`_OutputStage`) rather than generator processes: each binds the
+same effects in the same order — start hop, queue get, CPU charge,
+``block``-policy put — to :class:`~repro.sim.process.Continuation` steps,
+so the modelled history is that of a generator loop while the host skips
+a generator resume per step.  Their CPU thread ids stay ``rX.input-i`` and
+``rX.output-i``.
+
 Setting ``batch_threads=0`` or ``execute_threads=0`` folds those stages
 into the worker thread — the degenerate pipelines of the Fig. 8/9 study.
 
@@ -62,7 +70,8 @@ from repro.consensus.zyzzyva import GENESIS_HISTORY, extend_history
 from repro.crypto.hashing import digest_bytes, digest_cost
 from repro.engines import ENGINES
 from repro.net.message import Message
-from repro.sim.events import SimEvent, Timer
+from repro.sim.events import TIMEOUT, SimEvent, Timer
+from repro.sim.process import Continuation
 from repro.sim.queues import SimPriorityQueue, SimQueue
 from repro.sim.resources import CpuScheduler
 from repro.storage.blockchain import Block, Blockchain, CertificationMode
@@ -148,6 +157,8 @@ class Replica:
             )
             for i in range(config.output_threads)
         ]
+        #: destination -> its output queue (a pure function of the name)
+        self._output_queue_for: Dict[str, SimQueue] = {}
         if config.inbox_capacity is not None:
             inbox = self.endpoint.inbox
             inbox.capacity = config.inbox_capacity
@@ -222,10 +233,12 @@ class Replica:
     # lifecycle
     # ==================================================================
     def start(self) -> None:
-        """Spawn every pipeline thread."""
+        """Start every pipeline thread."""
         config = self.config
+        # a callback stage schedules its own start hop and is then held
+        # only by the queue or CPU it waits on
         for i in range(config.input_threads):
-            self.sim.spawn(self._input_loop(i), name=f"{self.replica_id}.input-{i}")
+            _InputStage(self, i)
         for i in range(config.batch_threads):
             self.sim.spawn(self._batch_loop(i), name=f"{self.replica_id}.batch-{i}")
         if config.consensus_enabled:
@@ -242,7 +255,7 @@ class Replica:
                     self._balance_loop(), name=f"{self.replica_id}.balance"
                 )
         for i in range(config.output_threads):
-            self.sim.spawn(self._output_loop(i), name=f"{self.replica_id}.output-{i}")
+            _OutputStage(self, i)
 
     @property
     def is_primary(self) -> bool:
@@ -267,58 +280,12 @@ class Replica:
         return self.engine.forward_target(request.sender, request.request_id)
 
     # ==================================================================
-    # input threads (§4.1)
+    # input threads (§4.1) — the stage itself is :class:`_InputStage`
     # ==================================================================
-    def _input_loop(self, index: int):
-        thread_id = f"{self.replica_id}.input-{index}"
-        costs = self.config.work_costs
-        inbox = self.endpoint.inbox
-        while True:
-            message = yield inbox.get()
-            yield self.cpu.run(costs.input_dispatch_ns, thread_id)
-            kind = message.kind
-            if kind == "client-request":
-                yield from self._route_client_request(message, thread_id)
-            elif kind == "checkpoint":
-                accepted = yield from self._stage_put(
-                    self.checkpoint_queue, message
-                )
-                if not accepted:
-                    self.flow.shed_messages += 1
-            else:
-                # protocol messages ride at priority 0, which the work
-                # queue's capacity bound never applies to
-                self.work_queue.put_nowait(message)
-
-    def _stage_put(self, queue, item, priority: Optional[int] = None):
-        """Enqueue ``item`` under the queue's policy from a process
-        context; the generator's return value says whether it got in
-        (``block`` parks the caller until it does)."""
-        if queue.capacity is None:
-            if priority is None:
-                queue.put_nowait(item)
-            else:
-                queue.put_nowait(item, priority)
-            return True
-        if queue.policy == "block":
-            if priority is None:
-                accepted = yield queue.put(item)
-            else:
-                accepted = yield queue.put(item, priority)
-            return accepted
-        if priority is None:
-            return queue.offer(item)
-        return queue.offer(item, priority)
-
-    def _route_client_request(self, message: ClientRequest, thread_id: str):
-        costs = self.config.work_costs
-        if not self.config.consensus_enabled:
-            # Fig. 7 upper-bound mode: requests go straight to the
-            # independent responder threads
-            accepted = yield from self._stage_put(self.batch_queue, message)
-            if not accepted:
-                self._reject_request(message, "queue", admitted=False)
-            return
+    def _admit_client_request(self, message: ClientRequest) -> bool:
+        """Route a client request at an input thread; True iff this
+        replica sequences it (the caller then charges the sequencing
+        cost and queues it for batching)."""
         if not self.is_primary:
             # forward to the current primary (client may not know the view)
             self.forwarded_requests += 1
@@ -327,31 +294,22 @@ class Replica:
             # the system makes no progress before it fires, the primary is
             # suspected and a view change begins
             self._arm_forward_probe()
-            return
+            return False
         key = (message.sender, message.request_id)
         if key in self._seen_requests:
-            return  # client retransmission of an in-flight request
+            return False  # client retransmission of an in-flight request
         # admission control runs before anything is recorded, so a NACKed
         # retry re-enters cleanly once the primary has room again
         reason = self.admission.try_admit(message.sender)
         if reason is not None:
             self.flow.rejected_requests += 1
             self._send_busy_nack(message, reason)
-            return
+            return False
         self._seen_requests.add(key)
         spans = self.system.spans
         if spans.enabled:
             spans.stamp(key, "input", self.sim.now)
-        yield self.cpu.run(costs.sequence_assign_ns, thread_id)
-        if self.config.batch_threads:
-            accepted = yield from self._stage_put(self.batch_queue, message)
-        else:
-            # 0B: the worker batches; client requests ride at low priority
-            accepted = yield from self._stage_put(
-                self.work_queue, message, priority=1
-            )
-        if not accepted:
-            self._reject_request(message, "queue")
+        return True
 
     # ==================================================================
     # overload protection (repro.flow)
@@ -424,30 +382,28 @@ class Replica:
         if not self.config.consensus_enabled:
             yield from self._upper_bound_loop(thread_id)
             return
-        from repro.sim.events import TIMEOUT
-
+        batch_queue = self.batch_queue
+        batch_size = self.config.batch_size
         while True:
-            first = yield self.batch_queue.get()
+            first = yield batch_queue.get()
             requests = [first]
+            txns = len(first.txns)
             # fill the batch; if arrivals stall, the fill deadline bounds
             # how long early requests wait for stragglers
             deadline = self.sim.now + self.config.batch_fill_timeout
-            while self._batch_txns(requests) < self.config.batch_size:
-                if len(self.batch_queue) > 0:
-                    requests.append(self.batch_queue.get_nowait())
-                    continue
-                remaining = deadline - self.sim.now
-                if remaining <= 0:
-                    break
-                item = yield self.batch_queue.get(timeout=remaining)
-                if item is TIMEOUT:
-                    break
+            while txns < batch_size:
+                if len(batch_queue) > 0:
+                    item = batch_queue.get_nowait()
+                else:
+                    remaining = deadline - self.sim.now
+                    if remaining <= 0:
+                        break
+                    item = yield batch_queue.get(timeout=remaining)
+                    if item is TIMEOUT:
+                        break
                 requests.append(item)
+                txns += len(item.txns)
             yield from self._form_and_propose(requests, thread_id)
-
-    @staticmethod
-    def _batch_txns(requests: List[ClientRequest]) -> int:
-        return sum(len(request.txns) for request in requests)
 
     def _form_and_propose(self, requests: List[ClientRequest], thread_id: str):
         """Verify, assemble, digest and propose one consensus batch."""
@@ -558,6 +514,7 @@ class Replica:
     def _worker_loop(self):
         thread_id = f"{self.replica_id}.worker"
         pending_client_requests: List[ClientRequest] = []
+        pending_txns = 0
         flush_armed = False
         while True:
             message = yield self.work_queue.get()
@@ -568,19 +525,19 @@ class Replica:
                         pending_client_requests,
                         [],
                     )
+                    pending_txns = 0
                     yield from self._form_and_propose(batch_requests, thread_id)
                 continue
             if message.kind == "client-request":
                 # 0B pipeline: the worker performs batching itself
                 pending_client_requests.append(message)
-                if (
-                    self._batch_txns(pending_client_requests)
-                    >= self.config.batch_size
-                ):
+                pending_txns += len(message.txns)
+                if pending_txns >= self.config.batch_size:
                     batch_requests, pending_client_requests = (
                         pending_client_requests,
                         [],
                     )
+                    pending_txns = 0
                     yield from self._form_and_propose(batch_requests, thread_id)
                 elif not flush_armed:
                     flush_armed = True
@@ -703,8 +660,10 @@ class Replica:
             self._enqueue_output(dst, message)
 
     def _enqueue_output(self, dst: str, message) -> None:
-        index = zlib.crc32(dst.encode("utf-8")) % len(self.output_queues)
-        queue = self.output_queues[index]
+        queue = self._output_queue_for.get(dst)
+        if queue is None:
+            index = zlib.crc32(dst.encode("utf-8")) % len(self.output_queues)
+            queue = self._output_queue_for[dst] = self.output_queues[index]
         if queue.capacity is None:
             queue.put_nowait((dst, message))
         elif not queue.offer((dst, message)):
@@ -1186,18 +1145,6 @@ class Replica:
             self._sequenced_keys.clear()
 
     # ==================================================================
-    # output threads (§4.1)
-    # ==================================================================
-    def _output_loop(self, index: int):
-        thread_id = f"{self.replica_id}.output-{index}"
-        costs = self.config.work_costs
-        queue = self.output_queues[index]
-        while True:
-            dst, message = yield queue.get()
-            yield self.cpu.run(costs.output_send_ns, thread_id)
-            self.system.network.send(self.replica_id, dst, message)
-
-    # ==================================================================
     # Fig. 7 upper-bound mode: no consensus, no ordering
     # ==================================================================
     def _upper_bound_loop(self, thread_id: str):
@@ -1256,3 +1203,149 @@ class Replica:
                 message, [request.sender], thread_id,
                 scheme=self.system.client_scheme,
             )
+
+
+# ======================================================================
+# input and output threads (§4.1) as callback servers
+# ======================================================================
+class _InputStage:
+    """One ``input-i`` thread: take a message off the inbox, charge the
+    dispatch cost, route it, repeat.
+
+    At the primary a client request is also admitted, charged the
+    sequencing cost and queued for batching; protocol messages go to the
+    worker's queue and checkpoint votes to the checkpoint-thread's.  A
+    bounded ``block`` queue parks the stage until the put resolves, and
+    the inbox backs up behind it.
+    """
+
+    __slots__ = (
+        "replica", "sim", "_receive", "_dispatch_cost", "_sequence_cost",
+        "_received", "_dispatched", "_sequenced", "_put_resolved",
+        "_message", "_then",
+    )
+
+    def __init__(self, replica: Replica, index: int):
+        self.replica = replica
+        self.sim = replica.sim
+        name = f"{replica.replica_id}.input-{index}"
+        costs = replica.config.work_costs
+        self._receive = replica.endpoint.inbox.get()
+        self._dispatch_cost = replica.cpu.run(costs.input_dispatch_ns, name)
+        self._sequence_cost = replica.cpu.run(costs.sequence_assign_ns, name)
+        self._received = Continuation(name, self._on_message)
+        self._dispatched = Continuation(name, self._on_dispatched)
+        self._sequenced = Continuation(name, self._on_sequenced)
+        self._put_resolved = Continuation(name, self._on_put_resolved)
+        self._message = None
+        #: what to do with a parked put's accepted flag
+        self._then = None
+        # the hop a spawned process takes before its first step
+        self.sim.schedule(0, self._next_message)
+
+    def _next_message(self) -> None:
+        self._receive._bind(self.sim, self._received)
+
+    def _on_message(self, message) -> None:
+        self._message = message
+        self._dispatch_cost._bind(self.sim, self._dispatched)
+
+    def _on_dispatched(self, _value) -> None:
+        message = self._message
+        replica = self.replica
+        kind = message.kind
+        if kind == "client-request":
+            if not replica.config.consensus_enabled:
+                # Fig. 7 upper-bound mode: requests go straight to the
+                # independent responder threads
+                self._put(replica.batch_queue, self._after_responder_put, message)
+            elif replica._admit_client_request(message):
+                self._sequence_cost._bind(self.sim, self._sequenced)
+            else:
+                self._next_message()
+        elif kind == "checkpoint":
+            self._put(
+                replica.checkpoint_queue, self._after_checkpoint_put, message
+            )
+        else:
+            # protocol messages ride at priority 0, which the work
+            # queue's capacity bound never applies to
+            replica.work_queue.put_nowait(message)
+            self._next_message()
+
+    def _on_sequenced(self, _value) -> None:
+        replica = self.replica
+        if replica.config.batch_threads:
+            self._put(replica.batch_queue, self._after_request_put, self._message)
+        else:
+            # 0B: the worker batches; client requests ride at low priority
+            self._put(replica.work_queue, self._after_request_put, self._message, 1)
+
+    def _put(self, queue, then, *args) -> None:
+        """Enqueue under the queue's policy — ``args`` is ``(item,)``, or
+        ``(item, priority)`` for the work queue — then call
+        ``then(accepted)``: at once, or once a ``block`` put resolves."""
+        if queue.capacity is None:
+            queue.put_nowait(*args)
+            then(True)
+        elif queue.policy == "block":
+            self._then = then
+            queue.put(*args)._bind(self.sim, self._put_resolved)
+        else:
+            then(queue.offer(*args))
+
+    def _on_put_resolved(self, accepted: bool) -> None:
+        then, self._then = self._then, None
+        then(accepted)
+
+    def _after_responder_put(self, accepted: bool) -> None:
+        if not accepted:
+            self.replica._reject_request(self._message, "queue", admitted=False)
+        self._next_message()
+
+    def _after_request_put(self, accepted: bool) -> None:
+        if not accepted:
+            self.replica._reject_request(self._message, "queue")
+        self._next_message()
+
+    def _after_checkpoint_put(self, accepted: bool) -> None:
+        if not accepted:
+            self.replica.flow.shed_messages += 1
+        self._next_message()
+
+
+class _OutputStage:
+    """One ``output-i`` thread: take a ``(dst, message)`` pair off its send
+    queue, charge the send cost, hand the message to the NIC, repeat."""
+
+    __slots__ = (
+        "replica", "sim", "_receive", "_send_cost", "_received", "_charged",
+        "_pending",
+    )
+
+    def __init__(self, replica: Replica, index: int):
+        self.replica = replica
+        self.sim = replica.sim
+        name = f"{replica.replica_id}.output-{index}"
+        self._receive = replica.output_queues[index].get()
+        costs = replica.config.work_costs
+        self._send_cost = replica.cpu.run(costs.output_send_ns, name)
+        self._received = Continuation(name, self._on_item)
+        self._charged = Continuation(name, self._on_charged)
+        self._pending = None
+        # the hop a spawned process takes before its first step
+        self.sim.schedule(0, self._next_item)
+
+    def _next_item(self) -> None:
+        self._receive._bind(self.sim, self._received)
+
+    def _on_item(self, item) -> None:
+        self._pending = item
+        self._send_cost._bind(self.sim, self._charged)
+
+    def _on_charged(self, _value) -> None:
+        dst, message = self._pending
+        self._pending = None
+        replica = self.replica
+        replica.system.network.send(replica.replica_id, dst, message)
+        self._next_item()

@@ -50,6 +50,8 @@ class FaultPlan:
         self._recover_at[node] = when_ns
 
     def is_crashed(self, node: str, now: int) -> bool:
+        if not (self._crashed or self._crash_at):
+            return False  # fault-free fast path
         healed_at = self._recover_at.get(node)
         if healed_at is not None and now >= healed_at:
             return False
@@ -95,6 +97,11 @@ class FaultPlan:
     # the transport's question
     # ------------------------------------------------------------------
     def should_deliver(self, src: str, dst: str, now: int) -> bool:
+        if not (
+            self._crashed or self._crash_at or self._partitions
+            or self._drop_probability
+        ):
+            return True  # fault-free fast path; no link can draw randomness
         if self.is_crashed(src, now) or self.is_crashed(dst, now):
             return False
         for pair in self._partitions:

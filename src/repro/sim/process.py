@@ -4,6 +4,12 @@ A process wraps a generator.  Every value the generator yields is an
 *effect* (see :mod:`repro.sim.events`); the kernel arranges for the process
 to be resumed when the effect completes, delivering the effect's result as
 the value of the ``yield`` expression.
+
+Effects only ever call ``resume(value)`` on whatever they were bound to,
+so a hot, fixed-shape thread can skip the generator machinery: a
+:class:`Continuation` binds an effect straight to a callback
+(``effect._bind(sim, continuation)``) and keeps the process's failure
+reporting.
 """
 
 from __future__ import annotations
@@ -78,3 +84,24 @@ class Process:
         self.finished = True
         self.generator.close()
         raise ProcessFailure(self.name, exc) from exc
+
+
+class Continuation:
+    """One resumption point of a callback-driven thread.
+
+    Bound to an effect in place of a :class:`Process`, it runs ``step`` with
+    the effect's result.  An exception escaping ``step`` surfaces as a
+    :class:`ProcessFailure` naming the thread, as it would from a process.
+    """
+
+    __slots__ = ("name", "step")
+
+    def __init__(self, name: str, step):
+        self.name = name
+        self.step = step
+
+    def resume(self, value: Any) -> None:
+        try:
+            self.step(value)
+        except Exception as exc:
+            raise ProcessFailure(self.name, exc) from exc

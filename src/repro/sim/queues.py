@@ -28,6 +28,8 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
+from repro.sim.events import TIMEOUT
+
 #: back-pressure policies a bounded queue can apply at capacity
 QUEUE_POLICIES = ("block", "shed_oldest", "reject")
 
@@ -59,13 +61,13 @@ class _QueueGet:
         queue = self.queue
         if queue._items:
             item = queue._take(sim)
-            queue._wake_putters(sim)
+            if queue._putters:
+                queue._wake_putters(sim)
             sim.schedule(0, process.resume, item)
             return
         getter = _Getter(process)
         queue._getters.append(getter)
         if self.timeout is not None:
-            from repro.sim.events import TIMEOUT
 
             def _expire() -> None:
                 if getter.active:
@@ -215,7 +217,7 @@ class SimQueue:
 
     def _enqueue(self, sim, item: Any) -> None:
         self.enqueued_total += 1
-        getter = self._pop_active_getter()
+        getter = self._pop_active_getter() if self._getters else None
         if getter is not None:
             self._record_dequeue(0)
             sim.schedule(0, getter.process.resume, item)

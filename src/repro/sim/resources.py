@@ -77,7 +77,13 @@ class _CpuRun:
         self.thread_id = thread_id
 
     def _bind(self, sim, process) -> None:
-        self.cpu._submit(sim, process, self.cost, self.thread_id)
+        cpu = self.cpu
+        if self.cost == 0:
+            sim.schedule(0, process.resume, None)
+        elif cpu.busy_cores < cpu.cores:
+            cpu._start(process, self.cost, self.thread_id)
+        else:
+            cpu._waiting.append((process, self.cost, self.thread_id))
 
 
 class CpuScheduler:
@@ -113,25 +119,16 @@ class CpuScheduler:
             raise ValueError(f"cpu cost must be >= 0, got {cost}")
         return _CpuRun(self, int(cost), thread_id)
 
-    def _submit(self, sim, process, cost: int, thread_id: str) -> None:
-        if cost == 0:
-            sim.schedule(0, process.resume, None)
-            return
-        if self.busy_cores < self.cores:
-            self._start(sim, process, cost, thread_id)
-        else:
-            self._waiting.append((process, cost, thread_id))
-
-    def _start(self, sim, process, cost: int, thread_id: str) -> None:
+    def _start(self, process, cost: int, thread_id: str) -> None:
         self.busy_cores += 1
-        self.busy_ns[thread_id] = self.busy_ns.get(thread_id, 0) + cost
-        sim.schedule(cost, self._complete, process)
+        busy_ns = self.busy_ns
+        busy_ns[thread_id] = busy_ns.get(thread_id, 0) + cost
+        self.sim.schedule(cost, self._complete, process)
 
     def _complete(self, process) -> None:
         self.busy_cores -= 1
         if self._waiting:
-            next_process, cost, thread_id = self._waiting.popleft()
-            self._start(self.sim, next_process, cost, thread_id)
+            self._start(*self._waiting.popleft())
         process.resume(None)
 
     # ------------------------------------------------------------------

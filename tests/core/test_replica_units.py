@@ -91,20 +91,39 @@ def test_current_primary_tracks_engine_view(system):
     assert replica.is_primary
 
 
-def test_batch_txns_counts_transactions():
-    from repro.core.replica import Replica
+@pytest.mark.parametrize("batch_threads", [1, 0])
+def test_batch_fill_counts_transactions(small_config, batch_threads):
+    """Batches close on transactions, not requests: three-transaction
+    requests pair up under batch_size=6, in the batch-thread and in the 0B
+    worker alike; a lone leftover goes out at the fill deadline."""
+    config = small_config.with_options(batch_size=6, batch_threads=batch_threads)
+    system = ResilientDBSystem(config)
+    replica = system.replicas["r0"]
+    proposed = []
 
-    requests = [
-        ClientRequest(
+    def record(requests, thread_id):
+        proposed.append([request.request_id for request in requests])
+        yield 0
+
+    replica._form_and_propose = record
+    for i in range(5):
+        request = ClientRequest(
             "c", i,
             tuple(
                 Transaction("c", (Operation(OpType.WRITE, "k", "v"),))
                 for _ in range(3)
             ),
         )
-        for i in range(2)
-    ]
-    assert Replica._batch_txns(requests) == 6
+        if batch_threads:
+            replica.batch_queue.put_nowait(request)
+        else:
+            replica.work_queue.put_nowait(request, 1)
+    if batch_threads:
+        system.sim.spawn(replica._batch_loop(0))
+    else:
+        system.sim.spawn(replica._worker_loop())
+    system.sim.run()
+    assert proposed == [[0, 1], [2, 3], [4]]
 
 
 def test_replica_endpoint_and_cpu_registered(system):

@@ -1,6 +1,11 @@
 """Tests for the discrete-event simulator core."""
 
+from collections import defaultdict
+from heapq import heappop, heappush
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.sim import Simulator, Timeout, micros, seconds
 from repro.sim.kernel import SimulationError
@@ -204,3 +209,130 @@ def test_join_running_and_finished_process():
         ("also-early", 50, "done"),
         ("late", 80, "done"),
     ]
+
+
+def test_run_until_before_now_rejected():
+    sim = Simulator()
+    sim.run(until=10)
+    with pytest.raises(SimulationError):
+        sim.run(until=5)
+
+
+# ----------------------------------------------------------------------
+# the same-tick lane keeps the (time, sequence) order
+# ----------------------------------------------------------------------
+def test_peek_and_pending_events_count_lane_entries():
+    sim = Simulator()
+    sim.schedule(5, lambda: None)
+    assert (sim.peek(), sim.pending_events) == (5, 1)
+    sim.schedule(0, lambda: None)
+    sim.schedule(0, lambda: None)
+    assert (sim.peek(), sim.pending_events) == (0, 3)
+    sim.run(until=0)  # drains the lane, leaves the clock at 0
+    assert (sim.now, sim.peek(), sim.pending_events) == (0, 5, 1)
+
+
+def test_stopped_run_keeps_the_rest_of_the_tick():
+    sim = Simulator()
+    seen = []
+    sim.schedule(0, lambda: (seen.append("a"), sim.stop()))
+    sim.schedule(0, seen.append, "b")
+    sim.schedule(3, seen.append, "c")
+    sim.run(until=10)  # stops after "a"; the clock still jumps to 10
+    assert (seen, sim.now, sim.pending_events, sim.peek()) == (["a"], 10, 2, 0)
+    sim.schedule(0, seen.append, "d")  # at 10, after everything pending
+    sim.run()
+    assert seen == ["a", "b", "c", "d"]
+
+
+class _HeapReference:
+    """The kernel's ordering contract as one binary heap of
+    ``(time, sequence)`` entries, with no same-tick lane."""
+
+    def __init__(self):
+        self.now = 0
+        self._heap = []
+        self._sequence = 0
+        self._stopped = False
+
+    def schedule(self, delay, fn, *args):
+        self._sequence += 1
+        heappush(self._heap, (self.now + delay, self._sequence, fn, args))
+
+    def stop(self):
+        self._stopped = True
+
+    def run(self, until=None):
+        self._stopped = False
+        while self._heap and not self._stopped:
+            when, _seq, fn, args = self._heap[0]
+            if until is not None and when > until:
+                self.now = until
+                return
+            heappop(self._heap)
+            self.now = when
+            fn(*args)
+        if until is not None and self.now < until:
+            self.now = until
+
+    def peek(self):
+        return self._heap[0][0] if self._heap else None
+
+    @property
+    def pending_events(self):
+        return len(self._heap)
+
+
+@st.composite
+def kernel_programs(draw):
+    """A forest of callbacks: each node is scheduled, with its own delay,
+    by an earlier node or from outside ``run()`` before one of the run
+    steps; some nodes call ``stop()``."""
+    steps = draw(
+        st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    size = draw(st.integers(min_value=1, max_value=40))
+    nodes = []
+    for index in range(size):
+        parent = draw(st.integers(min_value=-1, max_value=index - 1))
+        delay = draw(st.sampled_from((0, 0, 1, 5)))
+        step = draw(st.integers(min_value=0, max_value=len(steps) - 1))
+        stops = draw(st.integers(min_value=0, max_value=9)) == 0
+        nodes.append((parent, delay, step, stops))
+    return steps, nodes
+
+
+def _execute(sim, program):
+    """Run ``program`` on ``sim``; returns every observable the kernel's
+    ordering contract covers."""
+    steps, nodes = program
+    children = defaultdict(list)
+    for index, (parent, _delay, step, _stops) in enumerate(nodes):
+        children[(parent, step if parent < 0 else None)].append(index)
+    trace = []
+
+    def fire(index):
+        trace.append((index, sim.now))
+        if nodes[index][3]:
+            sim.stop()
+        for child in children[(index, None)]:
+            sim.schedule(nodes[child][1], fire, child)
+
+    observed = []
+    for step, until in enumerate(steps):
+        for root in children[(-1, step)]:
+            sim.schedule(nodes[root][1], fire, root)
+        observed.append((sim.now, sim.peek(), sim.pending_events))
+        sim.run(until=None if until is None else sim.now + until)
+        observed.append((sim.now, sim.peek(), sim.pending_events))
+    return trace, observed
+
+
+@settings(max_examples=300)
+@given(program=kernel_programs())
+def test_lane_kernel_matches_heap_reference(program):
+    assert _execute(Simulator(), program) == _execute(_HeapReference(), program)
