@@ -9,14 +9,18 @@ Beyond execution-order consistency this module provides the standalone
 oracles the scenario fuzzer (:mod:`repro.fuzz`) composes into its bank:
 state convergence, checkpoint consistency across replicas, and bounded
 liveness (everything committed eventually executes while faults stay
-within ``f``).  Each checker takes plain data, so it is equally usable
-against a live :class:`~repro.core.system.ResilientDBSystem`, a replayed
-trace, or hand-built fixtures in unit tests.
+within ``f``).  Each checker takes plain data (state convergence takes
+the record stores themselves), so it is equally usable against a live
+:class:`~repro.core.system.ResilientDBSystem`, a replayed trace, or
+hand-built fixtures in unit tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.storage.base import KVStore
 
 
 class SafetyViolation(AssertionError):
@@ -75,22 +79,22 @@ def check_execution_consistency(
     return min(len(log) for log in non_faulty.values())
 
 
-def check_state_convergence(states: Dict[str, Dict[str, str]], faulty=()) -> None:
+def check_state_convergence(stores: Mapping[str, "KVStore"], faulty=()) -> None:
     """All non-faulty replicas that executed the same prefix must hold the
-    same record store contents."""
+    same record store contents.
+
+    ``stores`` maps replica id to its record store; the comparison is the
+    stores' own ``differing_keys``, which never materialises a store.
+    """
     items = [
-        (rid, state) for rid, state in states.items() if rid not in set(faulty)
+        (rid, store) for rid, store in stores.items() if rid not in set(faulty)
     ]
     if len(items) < 2:
         return
     ref_rid, reference = items[0]
-    for rid, state in items[1:]:
-        if state != reference:
-            differing = {
-                key
-                for key in set(reference) | set(state)
-                if reference.get(key) != state.get(key)
-            }
+    for rid, store in items[1:]:
+        differing = reference.differing_keys(store)
+        if differing:
             sample = sorted(differing)[:5]
             raise SafetyViolation(
                 f"state divergence between {ref_rid} and {rid} on "

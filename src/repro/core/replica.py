@@ -783,7 +783,6 @@ class Replica:
     def _execute_batch(self, action: ExecuteReady, thread_id: str):
         config = self.config
         costs = config.work_costs
-        storage = config.storage_costs
         batch: RequestBatch = action.request
         # execution is in order, so this releases every consensus
         # instance at or below the sequence from the admission budget
@@ -792,10 +791,9 @@ class Replica:
         # phase 1: charge all CPU up front.  The per-op storage cost comes
         # from the cost table regardless of backend, so the charge can be
         # computed without touching state.
-        if config.storage_backend == "memory":
-            read_cost, write_cost = storage.memory_read_ns, storage.memory_write_ns
-        else:
-            read_cost, write_cost = storage.sqlite_read_ns, storage.sqlite_write_ns
+        read_cost, write_cost = config.storage_costs.op_costs(
+            config.storage_backend
+        )
         cost = costs.execute_fixed_ns
         ops_executed = 0
         for request in batch.requests:
@@ -1016,9 +1014,12 @@ class Replica:
         )
         snapshot = None
         snapshot_records = 0
-        if self.config.apply_state and hasattr(self.store, "_records"):
-            snapshot = dict(self.store._records)
-            snapshot_records = len(snapshot)
+        if self.config.apply_state:
+            snapshot = self.store.snapshot()
+            if snapshot is not None:
+                # the modelled snapshot is the whole logical table, however
+                # little of it the copy-on-write store had to copy
+                snapshot_records = self.store.size()
         response = StateTransferResponse(
             self.replica_id,
             executed_sequence=executed,
@@ -1055,10 +1056,7 @@ class Replica:
     def _adopt_state(self, response) -> None:
         """f+1 peers agree: install the transferred state."""
         if response.snapshot is not None:
-            if hasattr(self.store, "_records"):
-                self.store._records = dict(response.snapshot)
-            else:  # pragma: no cover - sqlite backend
-                self.store.preload(response.snapshot)
+            self.store.restore(response.snapshot)
         self.executed_log.extend(response.log_slice)
         self.state_digest = response.state_digest
         self.next_exec_sequence = response.executed_sequence + 1
@@ -1153,6 +1151,9 @@ class Replica:
         config = self.config
         costs = config.work_costs
         client_scheme = self.system.client_scheme
+        read_cost, write_cost = config.storage_costs.op_costs(
+            config.storage_backend
+        )
         sequence = 0
         while True:
             request = yield self.batch_queue.get()
@@ -1175,9 +1176,7 @@ class Replica:
                         ops += 1
                         cost += costs.execute_op_ns
                         cost += (
-                            config.storage_costs.memory_write_ns
-                            if op.op_type is OpType.WRITE
-                            else config.storage_costs.memory_read_ns
+                            write_cost if op.op_type is OpType.WRITE else read_cost
                         )
                 yield self.cpu.run(cost, thread_id)
                 if config.apply_state:

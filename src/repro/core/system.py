@@ -31,7 +31,7 @@ from repro.sim.clock import micros
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import DeterministicRNG
-from repro.storage.memstore import InMemoryKVStore
+from repro.storage.base import KVStore
 
 
 @dataclass
@@ -159,9 +159,9 @@ class ResilientDBSystem:
     def _preload_tables(self) -> None:
         """Give every replica an identical copy of the YCSB table (§5.1).
 
-        The table is built once and shared structurally for the in-memory
-        backend (replicas copy-on-write via fresh dicts) to keep setup
-        time reasonable at 600K records.
+        The table is a lazily computed read-only mapping: every in-memory
+        store shares it as its copy-on-write base, and a SQLite store
+        loads its rows from it.
         """
         if not self.config.apply_state:
             return
@@ -172,10 +172,7 @@ class ResilientDBSystem:
             workload_rng, record_count=self.config.ycsb_records
         ).initial_table()
         for replica in self.replicas.values():
-            if isinstance(replica.store, InMemoryKVStore):
-                replica.store.preload(dict(table))
-            else:
-                replica.store.preload(table)
+            replica.store.preload(table)
 
     def contact_replica(self) -> str:
         """Where clients send new requests (the initial primary; replicas
@@ -382,15 +379,15 @@ class ResilientDBSystem:
         # replicas that executed exactly the same number of batches must
         # have identical state
         if self.config.apply_state and self.config.storage_backend == "memory":
-            by_length: Dict[int, Dict[str, Dict[str, str]]] = {}
+            by_length: Dict[int, Dict[str, KVStore]] = {}
             for rid, replica in self.replicas.items():
                 if rid in faulty_set:
                     continue
                 by_length.setdefault(len(replica.executed_log), {})[rid] = (
-                    replica.store._records
+                    replica.store
                 )
-            for states in by_length.values():
-                check_state_convergence(states)
+            for stores in by_length.values():
+                check_state_convergence(stores)
         return prefix
 
     def close(self) -> None:

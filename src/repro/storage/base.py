@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -19,6 +20,13 @@ class StorageCosts:
     memory_write_ns: int = 250
     sqlite_read_ns: int = 90_000
     sqlite_write_ns: int = 170_000
+
+    def op_costs(self, backend: str) -> Tuple[int, int]:
+        """``(read_ns, write_ns)`` of one record access on ``backend``
+        (``"memory"`` or ``"sqlite"``)."""
+        if backend == "memory":
+            return self.memory_read_ns, self.memory_write_ns
+        return self.sqlite_read_ns, self.sqlite_write_ns
 
 
 class KVStore:
@@ -40,6 +48,22 @@ class KVStore:
 
     def size(self) -> int:
         """Number of records currently stored."""
+        raise NotImplementedError
+
+    def snapshot(self):
+        """A point-in-time copy of the records for state transfer, or
+        ``None`` when this backend ships no state (a recovering replica
+        then keeps its own records).  Later writes do not change it."""
+        return None
+
+    def restore(self, snapshot) -> None:
+        """Replace every record with a peer's ``snapshot()``."""
+        raise NotImplementedError
+
+    def differing_keys(self, other: "KVStore") -> Set[str]:
+        """Keys whose values differ between this store and ``other`` (a
+        key one store lacks differs from any value); empty exactly when
+        the two hold the same records."""
         raise NotImplementedError
 
     def close(self) -> None:

@@ -57,7 +57,7 @@ class SqliteKVStore(KVStore):
         """Bulk-load the initial table without simulated cost."""
         self._conn.executemany(
             "INSERT OR REPLACE INTO records (key, value) VALUES (?, ?)",
-            list(records.items()),
+            records.items(),
         )
         self._conn.commit()
 

@@ -9,7 +9,8 @@ an identical copy of the table."
 
 from __future__ import annotations
 
-from typing import Dict
+from collections.abc import Mapping
+from typing import Iterator, Optional
 
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.transactions import Operation, OpType, Transaction
@@ -66,22 +67,21 @@ class YCSBWorkload:
     # ------------------------------------------------------------------
     # initial state
     # ------------------------------------------------------------------
-    def initial_table(self) -> Dict[str, str]:
+    def initial_table(self) -> "YCSBTable":
         """The identical table preloaded on every replica.
 
         Values are deterministic functions of the key so replicas agree
-        without coordination.
+        without coordination; the table computes them on demand, so one
+        instance can back every replica's store at no per-record cost.
         """
-        return {
-            self.key_name(i): self._initial_value(i) for i in range(self.record_count)
-        }
+        return YCSBTable(self.record_count, self.value_bytes)
 
     @staticmethod
     def key_name(index: int) -> str:
         return f"user{index}"
 
     def _initial_value(self, index: int) -> str:
-        return f"v0:{index}".ljust(self.value_bytes, "x")
+        return initial_value(index, self.value_bytes)
 
     # ------------------------------------------------------------------
     # transaction generation
@@ -103,3 +103,61 @@ class YCSBWorkload:
             ops=tuple(ops),
             padding_bytes=self.padding_bytes,
         )
+
+
+def initial_value(index: int, value_bytes: int) -> str:
+    """The preloaded value of record ``index``."""
+    return f"v0:{index}".ljust(value_bytes, "x")
+
+
+class YCSBTable(Mapping):
+    """The initial YCSB table as a read-only mapping that holds no strings.
+
+    Behaves like ``{key_name(i): initial_value(i) for i in range(n)}`` —
+    same values, same iteration order — but computes each value when it
+    is looked up, so a 600K-record table costs two integers of memory
+    and no set-up time however many replicas read it.
+    """
+
+    __slots__ = ("record_count", "value_bytes")
+
+    def __init__(self, record_count: int, value_bytes: int = YCSB_VALUE_BYTES):
+        self.record_count = record_count
+        self.value_bytes = value_bytes
+
+    def _index(self, key) -> Optional[int]:
+        """The record index ``key`` names, or ``None`` if it names none.
+
+        Only the canonical spelling ``YCSBWorkload.key_name(i)`` matches:
+        ``user007`` or ``user+7`` parse to 7 but are different dict keys.
+        """
+        if not isinstance(key, str):
+            return None
+        try:
+            index = int(key[4:])
+        except ValueError:
+            return None
+        if 0 <= index < self.record_count and YCSBWorkload.key_name(index) == key:
+            return index
+        return None
+
+    def get(self, key, default=None):
+        index = self._index(key)
+        if index is None:
+            return default
+        return initial_value(index, self.value_bytes)
+
+    def __getitem__(self, key) -> str:
+        index = self._index(key)
+        if index is None:
+            raise KeyError(key)
+        return initial_value(index, self.value_bytes)
+
+    def __contains__(self, key) -> bool:
+        return self._index(key) is not None
+
+    def __iter__(self) -> Iterator[str]:
+        return map(YCSBWorkload.key_name, range(self.record_count))
+
+    def __len__(self) -> int:
+        return self.record_count

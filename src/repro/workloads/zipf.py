@@ -8,6 +8,7 @@ precomputation, and item 0 is the hottest key.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 from repro.sim.rng import DeterministicRNG
@@ -64,7 +65,10 @@ class ZipfianGenerator:
         key = (n, theta)
         value = _ZETA_CACHE.get(key)
         if value is None:
-            value = sum(1.0 / (i ** theta) for i in range(1, n + 1))
+            # fsum is exactly rounded, so the constant (and every key
+            # drawn from it) is the same on every Python version; plain
+            # sum() switched to compensated summation in 3.12
+            value = math.fsum(1.0 / (i ** theta) for i in range(1, n + 1))
             _ZETA_CACHE[key] = value
         return value
 

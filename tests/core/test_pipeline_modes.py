@@ -136,3 +136,46 @@ def test_client_batching_mode(small_config):
     assert result.completed_requests > 0
     assert result.completed_txns >= 10 * result.completed_requests
     system.validate_safety()
+
+
+def test_upper_bound_mode_charges_the_backends_storage_cost(small_config):
+    """Fig. 7's responder threads pay the configured backend's per-op
+    storage cost, as the consensus execute-thread does."""
+    from repro.consensus.messages import ClientRequest
+    from repro.sim.clock import millis
+    from repro.workloads import Operation, OpType, Transaction
+
+    def responder_busy_ns(backend: str):
+        config = small_config.with_options(
+            consensus_enabled=False,
+            batch_threads=1,
+            storage_backend=backend,
+            real_auth_tokens=False,
+        )
+        system = ResilientDBSystem(config)
+        try:
+            replica = system.replicas["r0"]
+            replica.start()  # the responder alone: no client traffic
+            for request_id in range(20):
+                ops = (
+                    Operation(OpType.WRITE, f"user{request_id}", "v"),
+                    Operation(OpType.READ, "user1"),
+                )
+                txns = (Transaction("client0", ops),) * 3
+                replica.batch_queue.put_nowait(
+                    ClientRequest("client0", request_id, txns)
+                )
+            system.sim.run(until=millis(100))
+            executed = system.metrics.counter("replica_ops_executed").value
+            return replica.cpu.busy_ns["r0.batch-0"], executed
+        finally:
+            system.close()
+
+    memory_ns, memory_ops = responder_busy_ns("memory")
+    sqlite_ns, sqlite_ops = responder_busy_ns("sqlite")
+    assert memory_ops == sqlite_ops == 120  # half writes, half reads
+    costs = small_config.storage_costs
+    per_pair = (costs.sqlite_write_ns - costs.memory_write_ns) + (
+        costs.sqlite_read_ns - costs.memory_read_ns
+    )
+    assert sqlite_ns - memory_ns == (memory_ops // 2) * per_pair

@@ -102,3 +102,36 @@ def test_adoption_requires_f_plus_1_matching_offers(recovery_config):
     replica._absorb_state_response(offer("r0", "digestA"))
     assert not replica._recovering
     assert replica.next_exec_sequence == 51
+
+
+def test_recovered_store_matches_peers_and_snapshot_counts_the_table(
+    recovery_config,
+):
+    # a table large enough that the run writes only a fraction of it
+    config = recovery_config.with_options(ycsb_records=100_000)
+    system = ResilientDBSystem(config)
+    recovered = system.replicas["r3"]
+    adopted = []
+    adopt = recovered._adopt_state
+
+    def record_adoption(response):
+        adopt(response)
+        adopted.append((response.snapshot_records, recovered.store.size()))
+
+    recovered._adopt_state = record_adoption
+    system.faults.crash_at("r3", millis(100))
+    system.recover_replica("r3", at_ns=millis(300))
+    system.run()
+    # silence the clients and drain so every replica executes the same log
+    for group in system.client_groups:
+        system.faults.crash(group.name)
+    system.sim.run(until=system.sim.now + millis(200))
+
+    assert adopted
+    for snapshot_records, size in adopted:
+        # the whole logical table ships, not just the peer's own writes
+        assert snapshot_records == size == config.ycsb_records
+    assert recovered.executed_log == system.replicas["r1"].executed_log
+    for rid in ("r0", "r1", "r2"):
+        assert recovered.store.differing_keys(system.replicas[rid].store) == set()
+    system.validate_safety()

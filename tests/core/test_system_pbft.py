@@ -181,3 +181,30 @@ def test_cannot_start_twice(small_config):
     system.start()
     with pytest.raises(RuntimeError):
         system.start()
+
+
+def test_replica_state_memory_does_not_grow_with_the_table():
+    """Every replica's store shares one lazily computed YCSB table, so a
+    1M-record deployment allocates no more than a 1K-record one."""
+    import tracemalloc
+
+    from repro.workloads.zipf import ZipfianGenerator
+
+    def build_peak(records: int) -> int:
+        config = SystemConfig(
+            num_replicas=4, num_clients=8, client_groups=2, ycsb_records=records
+        )
+        tracemalloc.start()
+        try:
+            system = ResilientDBSystem(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        system.close()
+        return peak
+
+    for records in (1_000, 1_000_000):
+        ZipfianGenerator._zeta(records, 0.99)  # the O(n) constant is memoised
+    build_peak(1_000)  # first build pays one-off imports
+    small, large = build_peak(1_000), build_peak(1_000_000)
+    assert abs(large - small) < 1_000_000

@@ -61,6 +61,31 @@ def test_hit_rate():
     assert pool.hit_rate() == pytest.approx(2 / 3)
 
 
+def test_bulk_counts_and_released_objects_share_the_capacity():
+    pool = BufferPool(dict, capacity=5)
+    assert pool.available == 5
+    assert pool.acquire_bulk(7) == 5 * BufferPool.pooled_acquire_ns + (
+        2 * BufferPool.alloc_ns
+    )
+    assert pool.available == 0
+    pool.release_bulk(3)
+    obj = dict()
+    pool.release(obj)
+    pool.release_bulk(4)  # only one slot left
+    assert pool.available == 5 and pool.returned == 8
+    recycled, cost = pool.acquire()
+    assert recycled is obj and cost == BufferPool.pooled_acquire_ns
+    assert pool.acquire_bulk(5) == 4 * BufferPool.pooled_acquire_ns + (
+        BufferPool.alloc_ns
+    )
+    assert (pool.hits, pool.misses) == (10, 3)
+
+
+def test_prefill_is_capped_at_the_limit():
+    pool = BufferPool(dict, capacity=BufferPool.PREFILL_LIMIT * 10)
+    assert pool.available == BufferPool.PREFILL_LIMIT
+
+
 # ----------------------------------------------------------------------
 # checkpoints
 # ----------------------------------------------------------------------

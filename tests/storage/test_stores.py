@@ -77,3 +77,99 @@ def test_sqlite_persists_to_disk(tmp_path):
         assert value == "yes"
     finally:
         reopened.close()
+
+
+# ----------------------------------------------------------------------
+# copy-on-write in-memory store
+# ----------------------------------------------------------------------
+BASE = {f"user{i}": f"v0:{i}" for i in range(10)}
+
+
+def _store_on(base):
+    store = InMemoryKVStore()
+    store.preload(base)
+    return store
+
+
+def test_stores_sharing_a_base_never_see_each_others_writes():
+    left, right = _store_on(BASE), _store_on(BASE)
+    left.write("user1", "left")
+    right.write("new", "right")
+    assert left.read("user1")[0] == "left"
+    assert right.read("user1")[0] == "v0:1"
+    assert left.read("new")[0] is None
+    assert right.read("new")[0] == "right"
+    assert BASE["user1"] == "v0:1" and "new" not in BASE
+
+
+def test_size_counts_each_new_key_once():
+    store = _store_on(BASE)
+    store.write("user3", "overwritten")  # shadows a base key
+    store.write("fresh", "a")
+    store.write("fresh", "b")
+    assert store.size() == len(BASE) + 1
+
+
+def test_preload_needs_an_empty_store():
+    store = _store_on(BASE)
+    with pytest.raises(ValueError):
+        store.preload(BASE)
+
+
+def test_snapshot_restore_round_trips_without_aliasing():
+    peer = _store_on(BASE)
+    peer.write("user2", "peer")
+    peer.write("extra", "x")
+    snapshot = peer.snapshot()
+    peer.write("user4", "after-snapshot")  # later writes stay out of it
+
+    recovered = InMemoryKVStore()
+    recovered.write("stale", "gone")
+    recovered.restore(snapshot)
+    assert recovered.read("user2")[0] == "peer"
+    assert recovered.read("extra")[0] == "x"
+    assert recovered.read("user4")[0] == "v0:4"
+    assert recovered.read("stale")[0] is None
+    assert recovered.size() == len(BASE) + 1
+
+    recovered.write("user5", "mine")
+    assert peer.read("user5")[0] == "v0:5"
+    assert recovered.differing_keys(peer) == {"user4", "user5"}
+    second = InMemoryKVStore()
+    second.restore(snapshot)  # one snapshot can seed several stores
+    assert second.read("user5")[0] == "v0:5"
+
+
+def test_differing_keys_catches_a_one_key_divergence():
+    left, right = _store_on(BASE), _store_on(BASE)
+    for store in (left, right):
+        store.write("user1", "same")
+        store.write("new", "same")
+    assert left.differing_keys(right) == set()
+    right.write("user7", "diverged")
+    assert left.differing_keys(right) == {"user7"}
+    assert right.differing_keys(left) == {"user7"}
+
+
+def test_writing_the_base_value_back_is_not_a_divergence():
+    left, right = _store_on(BASE), _store_on(BASE)
+    left.write("user6", BASE["user6"])
+    assert left.differing_keys(right) == set()
+
+
+def test_differing_keys_across_distinct_bases():
+    left = _store_on(BASE)
+    right = _store_on(dict(BASE))  # equal contents, another object
+    assert left.differing_keys(right) == set()
+    other = dict(BASE, user9="other")
+    assert left.differing_keys(_store_on(other)) == {"user9"}
+
+
+def test_sqlite_store_ships_no_snapshot():
+    store = SqliteKVStore()
+    try:
+        store.preload(BASE)
+        assert store.snapshot() is None
+        assert store.size() == len(BASE)
+    finally:
+        store.close()

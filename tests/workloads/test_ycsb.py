@@ -53,6 +53,12 @@ def test_generator_validation():
         UniformGenerator(0, rng)
 
 
+def test_zeta_is_exactly_rounded():
+    """The 600K-record constant is the same on every Python version (plain
+    float ``sum()`` changed to compensated summation in 3.12)."""
+    assert ZipfianGenerator._zeta(600_000, 0.99) == 14.806839298716685
+
+
 def test_generators_deterministic():
     first = ZipfianGenerator(1000, DeterministicRNG(7))
     second = ZipfianGenerator(1000, DeterministicRNG(7))
@@ -101,6 +107,26 @@ def test_initial_table_size_and_shape():
     assert len(table) == 100
     assert "user0" in table and "user99" in table
     assert all(len(value) >= 100 for value in table.values())
+
+
+def test_lazy_table_matches_eager_dict():
+    workload = YCSBWorkload(DeterministicRNG(1), record_count=50, value_bytes=24)
+    table = workload.initial_table()
+    eager = {workload.key_name(i): workload._initial_value(i) for i in range(50)}
+    assert table == eager
+    assert list(table) == list(eager)
+    assert list(table.items()) == list(eager.items())
+    for key in eager:
+        assert table[key] == eager[key] and key in table
+    misses = [
+        "user50", "user007", "user-1", "user+7", "user 7", "user1_0", "user",
+        "user600000", "usr1", "", "user٣", 3, None, b"user3",
+    ]
+    for key in misses:
+        assert table.get(key) is None and eager.get(key) is None
+        assert key not in table
+        with pytest.raises(KeyError):
+            table[key]
 
 
 def test_write_only_by_default():
