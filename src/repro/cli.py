@@ -19,7 +19,7 @@ import sys
 from typing import List, Optional
 
 from repro.core import ResilientDBSystem, SystemConfig
-from repro.engines import PROTOCOLS
+from repro.engines import ENGINES, PROTOCOLS
 from repro.sim.clock import millis
 
 
@@ -165,47 +165,48 @@ def _command_run(args) -> int:
                 return 2
     primaries = args.primaries
     if primaries is None:
-        primaries = 2 if args.protocol == "rcc" else 1
-    if args.protocol != "rcc" and primaries != 1:
-        print("--primaries requires --protocol rcc", file=sys.stderr)
+        primaries = 2 if ENGINES[args.protocol].multi_primary else 1
+    try:
+        config = SystemConfig(
+            protocol=args.protocol,
+            num_primaries=primaries,
+            num_replicas=args.replicas,
+            num_clients=args.clients,
+            client_groups=args.client_groups,
+            batch_size=args.batch_size,
+            batch_threads=args.batch_threads,
+            execute_threads=args.execute_threads,
+            ops_per_txn=args.ops_per_txn,
+            cores_per_replica=args.cores,
+            storage_backend=args.storage,
+            client_scheme=args.client_scheme,
+            replica_scheme=args.replica_scheme,
+            ycsb_records=args.records,
+            warmup=millis(args.warmup_ms),
+            measure=millis(args.measure_ms),
+            seed=args.seed,
+            real_auth_tokens=args.full_fidelity,
+            apply_state=args.full_fidelity,
+            trace=bool(args.trace_out),
+            lifecycle_spans=not args.no_spans,
+            span_keep_finished=10_000 if args.trace_out else 0,
+            sample_interval=(
+                millis(sample_interval_ms) if sample_interval_ms else None
+            ),
+            queue_policy=args.queue_policy,
+            batch_queue_capacity=args.batch_queue_capacity,
+            admission_max_inflight=args.admission_max_inflight,
+            admission_max_per_client=args.admission_max_per_client,
+            client_retransmit=(
+                millis(args.client_retransmit_ms)
+                if args.client_retransmit_ms is not None
+                else None
+            ),
+            client_window_initial=args.client_window,
+        )
+    except ValueError as error:
+        print(f"invalid configuration: {error}", file=sys.stderr)
         return 2
-    config = SystemConfig(
-        protocol=args.protocol,
-        num_primaries=primaries,
-        num_replicas=args.replicas,
-        num_clients=args.clients,
-        client_groups=args.client_groups,
-        batch_size=args.batch_size,
-        batch_threads=args.batch_threads,
-        execute_threads=args.execute_threads,
-        ops_per_txn=args.ops_per_txn,
-        cores_per_replica=args.cores,
-        storage_backend=args.storage,
-        client_scheme=args.client_scheme,
-        replica_scheme=args.replica_scheme,
-        ycsb_records=args.records,
-        warmup=millis(args.warmup_ms),
-        measure=millis(args.measure_ms),
-        seed=args.seed,
-        real_auth_tokens=args.full_fidelity,
-        apply_state=args.full_fidelity,
-        trace=bool(args.trace_out),
-        lifecycle_spans=not args.no_spans,
-        span_keep_finished=10_000 if args.trace_out else 0,
-        sample_interval=(
-            millis(sample_interval_ms) if sample_interval_ms else None
-        ),
-        queue_policy=args.queue_policy,
-        batch_queue_capacity=args.batch_queue_capacity,
-        admission_max_inflight=args.admission_max_inflight,
-        admission_max_per_client=args.admission_max_per_client,
-        client_retransmit=(
-            millis(args.client_retransmit_ms)
-            if args.client_retransmit_ms is not None
-            else None
-        ),
-        client_window_initial=args.client_window,
-    )
     system = ResilientDBSystem(config)
     try:
         if args.crash_backups:

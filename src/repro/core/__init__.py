@@ -8,8 +8,7 @@ storage, consensus engines) into the system of the paper's §4:
   batch, worker, execute, checkpoint and output threads connected by
   queues (Figures 6a/6b).
 - :class:`~repro.core.clientmgr.ClientGroup` — closed-loop clients with
-  PBFT (f+1 responses) and Zyzzyva (3f+1 fast path, commit-certificate
-  fallback) completion logic.
+  the PBFT/PoE completion rules, which an engine's client class extends.
 - :class:`~repro.core.system.ResilientDBSystem` — deployment builder and
   experiment runner producing :class:`~repro.core.system.ExperimentResult`.
 """

@@ -12,16 +12,11 @@ A :class:`ClientGroup` owns one network endpoint and manages
 size changes nothing about offered load or completion logic — it only
 coalesces endpoints.
 
-Completion rules:
-
-- **PBFT**: f+1 matching responses from distinct replicas.
-- **Zyzzyva fast path**: 3f+1 responses matching on (view, sequence,
-  result digest, history hash).
-- **Zyzzyva slow path**: if the fast path misses the client's timer but
-  ≥ 2f+1 responses match, the client sends a ``CommitCertificate`` to all
-  replicas and completes on 2f+1 ``LocalCommit`` acks.  With even one
-  crashed backup every request takes this path, which is the mechanism
-  behind Fig. 17's collapse.
+:class:`ClientGroup` follows the PBFT/PoE client rules; an engine whose
+clients differ names a subclass in its :data:`repro.engines.ENGINES`
+entry.  This module never names a protocol, and must not import
+:mod:`repro.core.config`: the registry imports the subclasses, which
+import this module.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.consensus.messages import ClientRequest, CommitCertificate
+from repro.consensus.messages import ClientRequest
 from repro.flow import AIMDWindow, RetransmitBackoff
 from repro.sim.clock import millis
 from repro.sim.events import Timer
@@ -44,13 +39,13 @@ class PendingRequest:
     txn_count: int
     #: the request message, kept for retransmission
     request: Optional[ClientRequest] = None
-    #: the armed retransmit / Zyzzyva timer, cancelled on completion
+    #: the armed retransmit (or engine) timer, cancelled on completion
     timer: Optional[Timer] = None
-    #: PBFT: responding replica -> result digest
+    #: client-responses: responding replica -> result digest
     responses: Dict[str, str] = field(default_factory=dict)
-    #: Zyzzyva: match key -> set of responders
+    #: spec-responses: match key -> set of responders
     spec_matches: Dict[Tuple, Set[str]] = field(default_factory=dict)
-    #: Zyzzyva slow path state
+    #: commit-certificate slow path state (Zyzzyva)
     certificate_sent: bool = False
     certificate_sequence: Optional[int] = None
     certificate_digest: Optional[str] = None
@@ -61,7 +56,11 @@ class PendingRequest:
 
 
 class ClientGroup:
-    """A bundle of logical closed-loop clients sharing one endpoint."""
+    """A bundle of logical closed-loop clients sharing one endpoint.
+
+    PBFT/PoE rules: send to the view-0 primary (replicas forward if the
+    view has moved on); complete on f+1 matching client-responses or
+    2f+1 matching spec-responses; broadcast on a retransmit timeout."""
 
     def __init__(self, system, index: int, logical_clients: int):
         self.system = system
@@ -105,8 +104,6 @@ class ClientGroup:
         #: logical clients whose next request awaits window room
         self._deferred = 0
         self.busy_nacks_received = 0
-        #: RCC: lane primary -> time its Busy signal expires
-        self._lane_busy_until: Dict[str, int] = {}
         self.completed_requests = 0
         self.fast_path_completions = 0
         self.slow_path_completions = 0
@@ -141,9 +138,6 @@ class ClientGroup:
             for _ in range(config.client_batch_txns)
         )
         request = ClientRequest(self.name, request_id, txns)
-        # multi-primary RCC steers each request to its lane's primary
-        # (avoiding lanes that recently signalled Busy); single-primary
-        # protocols contact the initial primary
         target = self._steer_target(request_id)
         if config.real_auth_tokens:
             request.auth, _ = self.system.client_scheme.authenticate(
@@ -157,73 +151,41 @@ class ClientGroup:
         if spans.enabled:
             spans.begin((self.name, request_id), self.sim.now)
         self.system.network.send(self.name, target, request)
-        if config.protocol == "zyzzyva":
-            pending.timer = Timer(
-                self.sim,
-                config.zyzzyva_client_timeout,
-                self._on_zyzzyva_timeout,
-                request_id,
-            )
-        elif config.client_retransmit is not None:
-            pending.timer = Timer(
-                self.sim, self.backoff.delay(0), self._on_retransmit,
-                request_id, request,
-            )
+        self._arm_timer(request_id, pending)
 
     def _steer_target(self, request_id: int) -> str:
-        target = self.system.steer_replica(self.name, request_id)
-        if self.config.protocol != "rcc" or not self._lane_busy_until:
-            return target
-        now = self.sim.now
-        if self._lane_busy_until.get(target, 0) <= now:
-            return target
-        # the steered lane is busy: rotate deterministically to the first
-        # lane primary that has not recently said Busy
-        primaries = self.system.lane_primaries()
-        if target not in primaries:
-            return target
-        start = primaries.index(target)
-        for offset in range(1, len(primaries)):
-            candidate = primaries[(start + offset) % len(primaries)]
-            if self._lane_busy_until.get(candidate, 0) <= now:
-                return candidate
-        return target
+        """Where a request is sent first, and resent after a busy-nack."""
+        return self.system.replica_ids[0]
+
+    def _arm_timer(self, request_id: int, pending: PendingRequest) -> None:
+        """Arm the timer that guards a (re)sent request: exponential
+        backoff (with jitter) keeps retransmissions from compounding an
+        overload."""
+        if self.config.client_retransmit is not None:
+            pending.timer = Timer(
+                self.sim,
+                self.backoff.delay(pending.retransmissions + pending.nacks),
+                self._on_retransmit, request_id,
+            )
 
     def _release_deferred(self) -> None:
         while self._deferred and len(self.pending) < self.window.size:
             self._deferred -= 1
             self._send_new_request()
 
-    def _on_retransmit(self, request_id: int, request: ClientRequest) -> None:
+    def _on_retransmit(self, request_id: int) -> None:
         pending = self.pending.get(request_id)
         if pending is None:
             return
         pending.retransmissions += 1
-        replica_ids = self.system.replica_ids
-        if self.config.protocol == "rcc":
-            # the steer target may be a dead lane primary; fail over to a
-            # single rotating fallback, which forwards to the lane's
-            # *current* primary — broadcasting from every steered-away
-            # client would square the message load under one crash
-            target = self.system.steer_replica(self.name, request_id)
-            index = replica_ids.index(target)
-            fallback = replica_ids[
-                (index + pending.retransmissions) % len(replica_ids)
-            ]
-            self.system.network.send(self.name, fallback, request)
-        else:
-            # PBFT clients that suspect the primary broadcast to all
-            # replicas, which forward to the current primary
-            for rid in replica_ids:
-                self.system.network.send(self.name, rid, request)
-        if self.config.client_retransmit is not None:
-            # exponential backoff (with jitter) keeps retransmissions of a
-            # long-unanswered request from compounding an overload
-            pending.timer = Timer(
-                self.sim,
-                self.backoff.delay(pending.retransmissions + pending.nacks),
-                self._on_retransmit, request_id, request,
-            )
+        self._retransmit(request_id, pending)
+        self._arm_timer(request_id, pending)
+
+    def _retransmit(self, request_id: int, pending: PendingRequest) -> None:
+        """A client that suspects the primary broadcasts the request to
+        all replicas, which forward it to the current primary."""
+        for rid in self.system.replica_ids:
+            self.system.network.send(self.name, rid, pending.request)
 
     # ------------------------------------------------------------------
     # overload signals (busy-nack)
@@ -233,29 +195,15 @@ class ClientGroup:
         congestion signal (shrink the window, back off, steer away)."""
         self.busy_nacks_received += 1
         self.window.on_congestion(self.sim.now)
-        if self.config.protocol == "rcc":
-            self._lane_busy_until[message.sender] = (
-                self.sim.now + self.backoff.delay(1)
-            )
         for request_id in message.request_ids:
             pending = self.pending.get(request_id)
             if pending is None:
                 continue  # answered by another replica in the meantime
             pending.nacks += 1
-            self._schedule_retry(request_id, pending)
-
-    def _schedule_retry(self, request_id: int, pending: PendingRequest) -> None:
-        if pending.timer is not None:
-            pending.timer.cancel()
-        delay = self.backoff.delay(pending.retransmissions + pending.nacks)
-        if self.config.protocol == "zyzzyva":
-            pending.timer = Timer(
-                self.sim, delay, self._retry_zyzzyva, request_id
-            )
-        else:
-            pending.timer = Timer(
-                self.sim, delay, self._retry_after_nack, request_id
-            )
+            if pending.timer is not None:
+                pending.timer.cancel()
+            delay = self.backoff.delay(pending.retransmissions + pending.nacks)
+            pending.timer = Timer(self.sim, delay, self._retry_after_nack, request_id)
 
     def _retry_after_nack(self, request_id: int) -> None:
         """Resend a NACKed request to its steer target only — the primary
@@ -268,40 +216,19 @@ class ClientGroup:
         self.system.network.send(
             self.name, self._steer_target(request_id), pending.request
         )
-        if self.config.client_retransmit is not None:
-            pending.timer = Timer(
-                self.sim,
-                self.backoff.delay(pending.retransmissions + pending.nacks),
-                self._on_retransmit, request_id, pending.request,
-            )
-
-    def _retry_zyzzyva(self, request_id: int) -> None:
-        """NACKed Zyzzyva request: resend, then fall back to the normal
-        client-timeout path (which owns certificate handling)."""
-        pending = self.pending.get(request_id)
-        if pending is None or pending.request is None:
-            return
-        pending.retransmissions += 1
-        self.system.network.send(
-            self.name, self._steer_target(request_id), pending.request
-        )
-        pending.timer = Timer(
-            self.sim, self.config.zyzzyva_client_timeout,
-            self._on_zyzzyva_timeout, request_id,
-        )
+        self._arm_timer(request_id, pending)
 
     # ------------------------------------------------------------------
     # response handling
     # ------------------------------------------------------------------
+    def _spec_quorum(self) -> int:
+        """Matching spec-responses that complete a request (PoE's each
+        carry a 2f+1 support quorum already)."""
+        return self.system.quorum.certificate_quorum
+
     def _inbox_loop(self):
         quorum_needed = self.system.quorum.client_response_quorum
-        # Zyzzyva's fast path needs every replica to answer identically;
-        # PoE's speculative responses already carry a 2f+1 support quorum,
-        # so 2f+1 matching responses complete the request
-        if self.config.protocol == "zyzzyva":
-            fast_needed = self.system.quorum.fast_path_quorum
-        else:
-            fast_needed = self.system.quorum.certificate_quorum
+        fast_needed = self._spec_quorum()
         commit_needed = self.system.quorum.certificate_quorum
         upper_bound = not self.config.consensus_enabled
         while True:
@@ -366,44 +293,6 @@ class ClientGroup:
                 )
 
     # ------------------------------------------------------------------
-    # Zyzzyva client timer (§5.10)
-    # ------------------------------------------------------------------
-    def _on_zyzzyva_timeout(self, request_id: int) -> None:
-        pending = self.pending.get(request_id)
-        if pending is None:
-            return  # completed on the fast path; timer is moot
-        commit_needed = self.system.quorum.certificate_quorum
-        best_key, responders = None, set()
-        for key, who in pending.spec_matches.items():
-            if len(who) > len(responders):
-                best_key, responders = key, who
-        if best_key is not None and len(responders) >= commit_needed:
-            if not pending.certificate_sent:
-                pending.certificate_sent = True
-                view, sequence, result_digest, _history = best_key
-                pending.certificate_sequence = sequence
-                pending.certificate_digest = result_digest
-                certificate = CommitCertificate(
-                    self.name, view, sequence, result_digest,
-                    tuple(sorted(responders)[:commit_needed]),
-                )
-                if self.config.real_auth_tokens:
-                    certificate.auth, _ = self.system.client_scheme.authenticate(
-                        certificate.signable_bytes(), self.name,
-                        list(self.system.replica_ids),
-                    )
-                for rid in self.system.replica_ids:
-                    self.system.network.send(self.name, rid, certificate)
-            # re-arm in case local-commits get lost too
-            pending.timer = Timer(self.sim, self.config.zyzzyva_client_timeout,
-                                  self._on_zyzzyva_timeout, request_id)
-        else:
-            # not even a certificate quorum: retransmit the whole request
-            pending.retransmissions += 1
-            pending.timer = Timer(self.sim, self.config.zyzzyva_client_timeout,
-                                  self._on_zyzzyva_timeout, request_id)
-
-    # ------------------------------------------------------------------
     def _complete(
         self,
         request_id: int,
@@ -414,7 +303,7 @@ class ClientGroup:
         pending = self.pending.pop(request_id, None)
         if pending is None:
             return
-        # the request is answered: its retransmit (or Zyzzyva) timer must
+        # the request is answered: its retransmit (or engine) timer must
         # never fire again
         if pending.timer is not None:
             pending.timer.cancel()

@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.schemes import SchemeName
-from repro.engines import PROTOCOLS
+from repro.engines import ENGINES
 from repro.sim.clock import millis, seconds
 from repro.storage.base import StorageCosts
 from repro.storage.blockchain import CertificationMode
@@ -68,9 +68,8 @@ class SystemConfig:
     cores_per_replica: int = 8
     #: None → maximum f for the replica count
     faults_tolerated: Optional[int] = None
-    #: concurrent consensus instances for multi-primary RCC (protocol
-    #: "rcc"): instance k's view-0 primary is replica k.  Ignored by the
-    #: single-primary protocols.
+    #: concurrent consensus instances of a multi-primary engine (RCC):
+    #: instance k's view-0 primary is replica k.  Single-lane engines: 1.
     num_primaries: int = 1
     #: how often an RCC lane leader runs its balance pass, committing
     #: null-batch skip certificates for lanes that fell behind the merge
@@ -221,12 +220,14 @@ class SystemConfig:
 
     # ------------------------------------------------------------------
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
+        if self.protocol not in ENGINES:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.num_replicas < 4:
             raise ValueError("BFT needs at least 4 replicas")
         if not 1 <= self.num_primaries <= self.num_replicas:
             raise ValueError("num_primaries must be in [1, num_replicas]")
+        if self.num_primaries > 1 and not ENGINES[self.protocol].multi_primary:
+            raise ValueError(f"protocol {self.protocol!r} runs one consensus lane")
         if self.rcc_balance_interval < 1:
             raise ValueError("rcc_balance_interval must be >= 1 tick")
         if self.batch_size < 1:

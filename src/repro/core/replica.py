@@ -100,7 +100,7 @@ class Replica:
         quorum = QuorumConfig(n=config.num_replicas, f=config.f)
         self.quorum = quorum
         replica_ids = system.replica_ids
-        self.engine = ENGINES[config.protocol](
+        self.engine = ENGINES[config.protocol].replica(
             replica_id, replica_ids, quorum, config.num_primaries
         )
 

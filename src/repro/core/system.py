@@ -23,7 +23,7 @@ from repro.core.config import SystemConfig
 from repro.core.replica import Replica
 from repro.crypto.keys import KeyStore
 from repro.crypto.schemes import make_scheme
-from repro.multi.unifier import steer_lane
+from repro.engines import ENGINES
 from repro.net.faults import FaultPlan
 from repro.net.topology import Topology
 from repro.net.transport import Network
@@ -149,8 +149,9 @@ class ResilientDBSystem:
         self._preload_tables()
         base = config.num_clients // config.client_groups
         remainder = config.num_clients % config.client_groups
+        client_class = ENGINES[config.protocol].client
         self.client_groups: List[ClientGroup] = [
-            ClientGroup(self, i, base + (1 if i < remainder else 0))
+            client_class(self, i, base + (1 if i < remainder else 0))
             for i in range(config.client_groups)
         ]
         self._started = False
@@ -173,39 +174,6 @@ class ResilientDBSystem:
         ).initial_table()
         for replica in self.replicas.values():
             replica.store.preload(table)
-
-    def contact_replica(self) -> str:
-        """Where clients send new requests (the initial primary; replicas
-        forward if the view has moved on)."""
-        return self.replica_ids[0]
-
-    def steer_replica(self, sender: str, request_id: int) -> str:
-        """Where a client sends one specific request.
-
-        Multi-primary RCC spreads clients across the ``num_primaries``
-        instance primaries (the point of concurrent consensus: §4.2's
-        single-primary ingest bottleneck disappears); deterministic
-        hashing means replicas compute the same steer lane when
-        re-forwarding.  Single-primary protocols keep the classic
-        contact-the-primary behaviour.
-        """
-        if self.config.protocol != "rcc":
-            return self.contact_replica()
-        return self.replica_ids[
-            steer_lane(sender, request_id, self.config.num_primaries)
-        ]
-
-    def lane_primaries(self) -> Tuple[str, ...]:
-        """The current primary of every consensus lane — the replicas a
-        client may contact.  Clients honouring per-lane Busy signals
-        rotate across these instead of hammering one busy lane."""
-        if self.config.protocol != "rcc":
-            return (self.contact_replica(),)
-        coordinator = self.replicas[self.replica_ids[0]].engine
-        return tuple(
-            coordinator.lane_primary(lane)
-            for lane in range(self.config.num_primaries)
-        )
 
     # ------------------------------------------------------------------
     # fault injection

@@ -155,8 +155,7 @@ class Scenario:
         """The view-0 primaries: r0..r{m-1} under rcc, just r0 otherwise.
         A fault on any of them exempts the bounded-liveness oracle (the
         view-change rescue operates on its own timescale)."""
-        count = self.num_primaries if self.protocol == "rcc" else 1
-        return tuple(f"r{i}" for i in range(count))
+        return tuple(f"r{i}" for i in range(self.num_primaries))
 
     @property
     def has_overload_knobs(self) -> bool:

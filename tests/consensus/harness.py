@@ -44,7 +44,7 @@ class Cluster:
         self.quorum = QuorumConfig.for_replicas(n)
         self.ids: Tuple[str, ...] = tuple(f"r{i}" for i in range(n))
         self.replicas: Dict[str, object] = {
-            rid: ENGINES[protocol](rid, self.ids, self.quorum, 1)
+            rid: ENGINES[protocol].replica(rid, self.ids, self.quorum, 1)
             for rid in self.ids
         }
         #: pending (src, dst, message) deliveries

@@ -108,11 +108,11 @@ def test_retransmit_timers_cancelled_on_completion():
     for group in system.client_groups:
         original = group._on_retransmit
 
-        def wrapper(request_id, request, _group=group, _original=original):
+        def wrapper(request_id, _group=group, _original=original):
             if request_id not in _group.pending:
                 stale_firings.append((_group.name, request_id))
             else:
-                _original(request_id, request)
+                _original(request_id)
 
         group._on_retransmit = wrapper
     result = system.run()
@@ -142,10 +142,10 @@ def test_no_duplicate_completion_after_quorum():
     for group in system.client_groups:
         original = group._on_retransmit
 
-        def wrapper(request_id, request, _group=group, _original=original):
+        def wrapper(request_id, _group=group, _original=original):
             if request_id in _group.pending:
                 retransmissions.append(request_id)
-            _original(request_id, request)
+            _original(request_id)
 
         group._on_retransmit = wrapper
     result = system.run()

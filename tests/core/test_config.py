@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import SystemConfig
 from repro.crypto.schemes import SchemeName
+from repro.engines import ENGINES, PROTOCOLS
 
 
 def test_defaults_match_paper_standard_setup():
@@ -63,3 +64,14 @@ def test_with_options_derives_variant():
     assert variant.batch_size == 500
     assert base.num_replicas == 16  # base untouched
     assert variant.protocol == base.protocol
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_extra_primaries_need_a_multi_primary_engine(protocol):
+    # m=1 is legal everywhere (RCC m=1 degenerates to PBFT)
+    assert SystemConfig(protocol=protocol, num_primaries=1).num_primaries == 1
+    if ENGINES[protocol].multi_primary:
+        assert SystemConfig(protocol=protocol, num_primaries=3).num_primaries == 3
+    else:
+        with pytest.raises(ValueError, match="one consensus lane"):
+            SystemConfig(protocol=protocol, num_primaries=3)

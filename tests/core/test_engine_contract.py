@@ -10,9 +10,11 @@ import pytest
 
 from repro.consensus import NotPrimaryError, QuorumConfig
 from repro.consensus.messages import OrderRequest, Prepare, make_null_batch
+from repro.consensus.pbft import PbftReplica
 from repro.consensus.poe import Support
 from repro.core import ResilientDBSystem
-from repro.engines import ENGINES, PROTOCOLS
+from repro.core.clientmgr import ClientGroup
+from repro.engines import ENGINES, PROTOCOLS, Engine
 from repro.sim.clock import millis
 
 IDS = ("r0", "r1", "r2", "r3")
@@ -55,7 +57,7 @@ FOREIGN = {
 
 
 def _engine(protocol: str, replica_id: str):
-    return ENGINES[protocol](replica_id, IDS, QuorumConfig.for_replicas(4), 2)
+    return ENGINES[protocol].replica(replica_id, IDS, QuorumConfig.for_replicas(4), 2)
 
 
 def test_protocols_are_listed_once_in_draw_order():
@@ -118,3 +120,24 @@ def test_authenticated_foreign_kind_is_counted_not_fatal(protocol, small_config)
     assert result.invalid_messages == baseline + 1
     assert system.replicas["r2"].invalid_messages == 1
     assert system.validate_safety() > 0
+
+
+def test_a_new_engine_is_one_registry_entry(monkeypatch, small_config):
+    """An engine registered with no edit to the config, the deployment
+    builder or the client manager runs end to end: this stub builds PBFT
+    replicas and reuses the PBFT client rules."""
+    built = []
+
+    def stub_replica(replica_id, replica_ids, quorum, _lanes):
+        built.append(replica_id)
+        return PbftReplica(replica_id, replica_ids, quorum)
+
+    monkeypatch.setitem(ENGINES, "stub", Engine(stub_replica))
+    system = ResilientDBSystem(small_config.with_options(protocol="stub"))
+    assert built == list(system.replica_ids)
+    assert all(type(group) is ClientGroup for group in system.client_groups)
+    result = system.run()
+    assert result.completed_requests > 100
+    assert system.validate_safety() > 0
+    with pytest.raises(ValueError, match="one consensus lane"):
+        small_config.with_options(protocol="stub", num_primaries=2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ResilientDBSystem
+from repro.core import ResilientDBSystem, SystemConfig
 from repro.sim.clock import millis
 
 
@@ -88,3 +88,32 @@ def test_fewer_protocol_messages_than_pbft(small_config, zyz_config):
     pbft_per_request = pbft.messages_sent / max(1, pbft.completed_requests)
     zyz_per_request = zyz.messages_sent / max(1, zyz.completed_requests)
     assert zyz_per_request < pbft_per_request
+
+
+def test_timeout_without_certificate_quorum_resends_the_request():
+    """A lossy client->primary link: when the client timer finds fewer
+    than 2f+1 matching spec-responses, the client resends the request to
+    every replica instead of only re-arming its timer."""
+    config = SystemConfig(
+        protocol="zyzzyva",
+        num_replicas=4,
+        num_clients=32,
+        client_groups=4,
+        batch_size=6,
+        ycsb_records=300,
+        warmup=millis(20),
+        measure=millis(100),
+        seed=7,
+        zyzzyva_client_timeout=millis(5),
+    )
+    system = ResilientDBSystem(config)
+    system.faults.drop_link("client0", "r0", probability=0.3)
+    system.run()
+    lossy = system.client_groups[0]
+    # before the resend, the dropped requests stalled their logical
+    # clients for good: client0 completed 14 requests in this setup
+    assert lossy.completed_requests > 200
+    assert all(
+        group.completed_requests > 200 for group in system.client_groups[1:]
+    )
+    system.validate_safety()

@@ -109,9 +109,7 @@ def test_client_steering_matches_the_coordinator_lane(m):
     lands on the primary of the lane every replica forwards it to."""
     system = ResilientDBSystem(rcc_config(num_primaries=m))
     coordinator = system.replicas["r0"].engine
-    for sender in ("client0", "client1", "client3", "client-x"):
+    for group in system.client_groups:
         for request_id in range(0, 60, 7):
-            lane = coordinator.steer_instance(sender, request_id)
-            assert system.steer_replica(sender, request_id) == (
-                system.replica_ids[lane]
-            )
+            lane = coordinator.steer_instance(group.name, request_id)
+            assert group._steer_target(request_id) == system.replica_ids[lane]

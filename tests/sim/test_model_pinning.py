@@ -70,6 +70,11 @@ def _backup_crash_and_recover(system):
     return "r3"
 
 
+def _backup_crash(system):
+    system.crash_replicas(1, at_ns=millis(25))
+    return "r0"
+
+
 def _equivocating_primary(system):
     system.make_byzantine("r0", "equivocating-primary")
     return "r1"
@@ -152,6 +157,32 @@ CASES = {
         ),
         _fault_free,
     ),
+    # a crashed backup pushes Zyzzyva clients onto the certificate path
+    "zyzzyva-backup-crash": (
+        lambda: _small(protocol="zyzzyva", zyzzyva_client_timeout=millis(3)),
+        _backup_crash,
+    ),
+    # busy-nacks drive the Zyzzyva NACK retry
+    "zyzzyva-reject-busy": (
+        lambda: _small(
+            protocol="zyzzyva",
+            num_clients=128,
+            queue_policy="reject",
+            batch_queue_capacity=4,
+        ),
+        _fault_free,
+    ),
+    # busy-nacks drive RCC Busy-lane steering
+    "rcc-m2-reject-busy": (
+        lambda: _small(
+            protocol="rcc",
+            num_primaries=2,
+            num_clients=128,
+            queue_policy="reject",
+            batch_queue_capacity=4,
+        ),
+        _fault_free,
+    ),
 }
 
 
@@ -177,7 +208,9 @@ def observe(name: str) -> dict:
 #: the first seven recorded from the build before the NIC FIFO-server
 #: transport; the next five from the build before the engine-contract
 #: refactor; pbft-blocking-batch-queue from the build before the
-#: callback-driven input/output stages
+#: callback-driven input/output stages; zyzzyva-backup-crash,
+#: zyzzyva-reject-busy and rcc-m2-reject-busy from the build before the
+#: client rules moved into the engine registry
 EXPECTED = {
     'pbft-0b0e': {'history': '624bb7bebd14eb467a84edc2', 'completed': 1455, 'p50_s': 0.000879817, 'p99_s': 0.001082036},
     'pbft-backup-recover': {'history': '2f9d37e03a7117a3535b24c5', 'completed': 4260, 'p50_s': 0.000719223, 'p99_s': 0.001243663},
@@ -191,7 +224,10 @@ EXPECTED = {
     'poe-reject-busy': {'history': 'ab1f30a8984de9afd1b090d2', 'completed': 775, 'p50_s': 0.000595522, 'p99_s': 0.0117083},
     'rcc-m2': {'history': 'd201d9a005161ffc5e9d1842', 'completed': 1332, 'p50_s': 0.000826229, 'p99_s': 0.001410701},
     'rcc-m2-lane1-crash': {'history': '6cd2ada936ab1e049368fdcd', 'completed': 821, 'p50_s': 0.001457237, 'p99_s': 0.030828573},
+    'rcc-m2-reject-busy': {'history': 'a7312063e3bd3019da674cee', 'completed': 1862, 'p50_s': 0.001003601, 'p99_s': 0.011687001},
     'zyzzyva': {'history': '8c325f8a73665c52fa402972', 'completed': 2586, 'p50_s': 0.000474178, 'p99_s': 0.000767654},
+    'zyzzyva-backup-crash': {'history': '8252b0efa0ce4a9af9227f6a', 'completed': 644, 'p50_s': 0.000778917, 'p99_s': 0.00344527},
+    'zyzzyva-reject-busy': {'history': '74f19a789b8ae01836989e4a', 'completed': 1035, 'p50_s': 0.000485381, 'p99_s': 0.011641487},
 }
 
 

@@ -110,6 +110,19 @@ def test_run_rejects_missing_output_directory(capsys):
     assert "output directory does not exist" in capsys.readouterr().err
 
 
+def test_run_reports_an_invalid_config_without_a_traceback(capsys):
+    assert main(["run", "--replicas", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert "at least 4 replicas" in err
+    assert "Traceback" not in err
+
+
+def test_run_rejects_primaries_for_a_single_lane_engine(capsys):
+    assert main(FAST_RUN + ["--protocol", "pbft", "--primaries", "2"]) == 2
+    assert "one consensus lane" in capsys.readouterr().err
+
+
 def test_run_samples_out_defaults_interval(tmp_path):
     csv = tmp_path / "samples.csv"
     assert main(FAST_RUN + ["--samples-out", str(csv)]) == 0
