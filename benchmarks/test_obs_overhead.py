@@ -1,7 +1,7 @@
 """Guard benchmark: disabled observability must stay (nearly) free.
 
-The hooks follow the tracer's guard idiom — one ``spans.enabled``
-attribute read on each hot path when everything is off.  This benchmark
+Every recorder hook tests one flag — one ``spans.enabled`` attribute
+read on each hot path when everything is off.  This benchmark
 pins that promise with wall-clock numbers: a run with spans, sampling
 and tracing all disabled must not be measurably slower than the seed,
 and fully-enabled observability must stay within a generous factor of
@@ -55,7 +55,6 @@ def test_enabled_observability_stays_cheap():
     enabled = min(
         _wall_clock(
             lifecycle_spans=True,
-            span_keep_finished=1_000,
             sample_interval=millis(5),
             trace=True,
         )

@@ -78,7 +78,7 @@ def main() -> None:
     print(f"recoveries completed: {recovered.recoveries_completed}")
     print(f"executed batches — recovered r6: {len(recovered.executed_log)}, "
           f"healthy r1: {len(healthy.executed_log)}")
-    for record in system.tracer.records(category="recovery"):
+    for record in system.spans.events(category="recovery"):
         print(f"  trace: {record.format()}")
     system.validate_safety()
     print("safety held across crash, transfer and catch-up ✓")

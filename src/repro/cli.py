@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="queue/CPU/network sampling period (default: 5ms "
                      "when --samples-out is given, else off)")
     obs.add_argument("--no-spans", action="store_true",
-                     help="skip lifecycle spans (no stage-latency table)")
+                     help="skip lifecycle spans (no stage-latency table); "
+                     "--trace-out records them anyway, a trace needs them")
     flow = run.add_argument_group("overload protection")
     flow.add_argument("--queue-policy", choices=("block", "shed_oldest",
                                                  "reject"), default="block",
@@ -189,7 +190,6 @@ def _command_run(args) -> int:
             apply_state=args.full_fidelity,
             trace=bool(args.trace_out),
             lifecycle_spans=not args.no_spans,
-            span_keep_finished=10_000 if args.trace_out else 0,
             sample_interval=(
                 millis(sample_interval_ms) if sample_interval_ms else None
             ),
@@ -209,8 +209,12 @@ def _command_run(args) -> int:
         return 2
     system = ResilientDBSystem(config)
     try:
-        if args.crash_backups:
-            system.crash_replicas(args.crash_backups)
+        system.crash_replicas(args.crash_backups)
+    except ValueError as error:
+        system.close()
+        print(f"invalid configuration: {error}", file=sys.stderr)
+        return 2
+    try:
         result = system.run()
         _write_observability(args, system)
     finally:
@@ -260,7 +264,7 @@ def _write_observability(args, system) -> None:
     if args.trace_out:
         _write(
             args.trace_out,
-            chrome_trace(spans=system.spans, tracer=system.tracer),
+            chrome_trace(system.spans),
             "Chrome trace (Perfetto-loadable)",
         )
     if args.metrics_out:

@@ -188,9 +188,10 @@ class SystemConfig:
     #: apply operations to the record store for real (state convergence is
     #: then checkable); costs are charged either way.
     apply_state: bool = True
-    #: collect a structured event trace (executions, view changes,
-    #: checkpoints, recoveries) for replay debugging — see
-    #: :mod:`repro.sim.tracing`
+    #: record a trace for replay debugging and Chrome-trace export: turns
+    #: the run recorder (:mod:`repro.obs.spans`) on, keeps up to 10_000
+    #: finished spans and up to 100_000 instant events (executions, view
+    #: changes, checkpoints, recoveries)
     trace: bool = False
     #: record every completed client request's (request id, sequence,
     #: result digest) on its :class:`~repro.core.clientmgr.ClientGroup` so
@@ -203,15 +204,13 @@ class SystemConfig:
     #: stamp every client request at each pipeline hand-off and aggregate
     #: per-stage latency histograms (ExperimentResult.stage_latency) — see
     #: :mod:`repro.obs.spans`.  Stamps record timestamps only, so enabling
-    #: spans never changes simulated results.
+    #: spans never changes simulated results.  On its own this only
+    #: aggregates; ``trace`` also retains spans and events.
     lifecycle_spans: bool = False
     #: sample queue depths / CPU / network counters every this many ticks
     #: into bounded time series (None disables the sampler) — see
     #: :mod:`repro.obs.sampler`
     sample_interval: Optional[int] = None
-    #: retain up to this many finished spans for Chrome-trace export
-    #: (0 = aggregate only; export needs retained spans)
-    span_keep_finished: int = 0
 
     # -- cost models ---------------------------------------------------------
     work_costs: WorkCosts = field(default_factory=WorkCosts)
@@ -251,8 +250,6 @@ class SystemConfig:
             raise ValueError("cores_per_replica must be >= 1")
         if self.sample_interval is not None and self.sample_interval < 1:
             raise ValueError("sample_interval must be >= 1 tick")
-        if self.span_keep_finished < 0:
-            raise ValueError("span_keep_finished must be >= 0")
         from repro.sim.queues import QUEUE_POLICIES
 
         if self.queue_policy not in QUEUE_POLICIES:

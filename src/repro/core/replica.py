@@ -735,9 +735,9 @@ class Replica:
             )
 
     def _on_enter_view(self, view: int) -> None:
-        tracer = self.system.tracer
-        if tracer.enabled:
-            tracer.record(
+        spans = self.system.spans
+        if spans.enabled:
+            spans.event(
                 self.sim.now, self.replica_id, "view-change",
                 f"entered view {view}",
             )
@@ -832,16 +832,14 @@ class Replica:
         self.state_digest = digest_bytes(
             f"{self.state_digest}|{batch.digest}".encode("utf-8")
         )
-        tracer = self.system.tracer
-        if tracer.enabled:
-            tracer.record(
+        spans = self.system.spans
+        if spans.enabled:
+            spans.stamp_sequence(action.sequence, "execute", self.sim.now)
+            spans.event(
                 self.sim.now, self.replica_id, "execute",
                 f"seq={action.sequence} txns={batch.txn_count} "
                 f"digest={str(batch.digest)[:12]}",
             )
-        spans = self.system.spans
-        if spans.enabled:
-            spans.stamp_sequence(action.sequence, "execute", self.sim.now)
         metrics = self.system.metrics
         metrics.counter("replica_txns_executed").increment(batch.txn_count)
         metrics.counter("replica_ops_executed").increment(ops_executed)
@@ -1079,9 +1077,9 @@ class Replica:
         self._recovering = False
         self.recoveries_completed += 1
         self.system.metrics.counter("recoveries").increment()
-        tracer = self.system.tracer
-        if tracer.enabled:
-            tracer.record(
+        spans = self.system.spans
+        if spans.enabled:
+            spans.event(
                 self.sim.now, self.replica_id, "recovery",
                 f"adopted state through {response.executed_sequence} "
                 f"from {response.sender}",
@@ -1113,9 +1111,9 @@ class Replica:
 
     def _record_checkpoint_vote(self, sequence, digest, voter) -> None:
         if self.checkpoints.record_vote(sequence, digest, voter):
-            tracer = self.system.tracer
-            if tracer.enabled:
-                tracer.record(
+            spans = self.system.spans
+            if spans.enabled:
+                spans.event(
                     self.sim.now, self.replica_id, "checkpoint",
                     f"stable at {sequence}",
                 )

@@ -59,7 +59,8 @@ class ExperimentResult:
     slow_path_completions: int = 0
     invalid_messages: int = 0
     #: pipeline stage -> {count, mean_s, p50_s, p99_s}; populated when
-    #: ``config.lifecycle_spans`` is on (see :mod:`repro.obs.spans`)
+    #: ``config.lifecycle_spans`` or ``config.trace`` is on (see
+    #: :mod:`repro.obs.spans`)
     stage_latency: Dict[str, Dict[str, float]] = field(default_factory=dict)
     # -- overload protection (repro.flow) ------------------------------
     busy_nacks_sent: int = 0
@@ -109,17 +110,18 @@ class ResilientDBSystem:
         self.network = Network(self.sim, topology=topology, faults=self.faults)
         self.metrics.register_resettable(self.network)
 
-        from repro.sim.tracing import Tracer
-
-        self.tracer = Tracer(enabled=config.trace)
-
         # -- observability (repro.obs) ------------------------------------
         from repro.obs.sampler import PipelineSampler
-        from repro.obs.spans import SpanRecorder
+        from repro.obs.spans import (
+            TRACE_KEEP_EVENTS,
+            TRACE_KEEP_FINISHED,
+            SpanRecorder,
+        )
 
         self.spans = SpanRecorder(
-            enabled=config.lifecycle_spans,
-            keep_finished=config.span_keep_finished,
+            enabled=config.lifecycle_spans or config.trace,
+            keep_finished=TRACE_KEEP_FINISHED if config.trace else 0,
+            keep_events=TRACE_KEEP_EVENTS if config.trace else 0,
         )
         self.metrics.register_resettable(self.spans)
         self.sampler: Optional[PipelineSampler] = None
@@ -184,9 +186,9 @@ class ResilientDBSystem:
         Crashes the highest-indexed replicas, which never hold the
         primary role in view 0.
         """
-        if count > self.config.f:
+        if not 0 <= count <= self.config.f:
             raise ValueError(
-                f"cannot crash {count} replicas; f={self.config.f} is the bound"
+                f"cannot crash {count} replicas; must be in [0, f={self.config.f}]"
             )
         victims = list(self.replica_ids[-count:]) if count else []
         for victim in victims:

@@ -28,6 +28,11 @@ class Engine(NamedTuple):
     client: Type[ClientGroup] = ClientGroup
     #: True if ``num_primaries > 1`` runs concurrent lanes
     multi_primary: bool = False
+    #: True if replicas execute before agreement completes: their logs may
+    #: legitimately diverge under an equivocating primary (client
+    #: certificates / view change repair it), so only client-visible
+    #: replies carry the safety guarantee
+    speculative: bool = False
 
 
 #: insertion order is part of the contract: the fuzz generator draws
@@ -37,8 +42,12 @@ ENGINES = {
     "zyzzyva": Engine(
         lambda rid, ids, quorum, _m: ZyzzyvaReplica(rid, ids, quorum),
         ZyzzyvaClientGroup,
+        speculative=True,
     ),
-    "poe": Engine(lambda rid, ids, quorum, _m: PoeReplica(rid, ids, quorum)),
+    "poe": Engine(
+        lambda rid, ids, quorum, _m: PoeReplica(rid, ids, quorum),
+        speculative=True,
+    ),
     "rcc": Engine(InstanceCoordinator, RccClientGroup, multi_primary=True),
 }
 

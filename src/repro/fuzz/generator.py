@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.byzantine import POLICY_NAMES
-from repro.engines import PROTOCOLS
+from repro.engines import ENGINES, PROTOCOLS
 from repro.fuzz.scenario import (
     BACKUP_POLICIES,
     PRIMARY_POLICIES,
@@ -91,7 +91,7 @@ def generate_scenario(master_seed: int, index: int) -> Scenario:
     # fuzz window (the 5s default would dwarf it)
     num_primaries = 1
     view_change_timeout_ms = None
-    if protocol == "rcc":
+    if ENGINES[protocol].multi_primary:
         num_primaries = min(rng.choice((2, 2, 3)), num_replicas)
         view_change_timeout_ms = _round(rng.uniform(8.0, 15.0))
     primaries = [f"r{i}" for i in range(num_primaries)]
@@ -117,7 +117,7 @@ def generate_scenario(master_seed: int, index: int) -> Scenario:
     # -- rcc: crash one instance primary mid-run --------------------------
     # the canonical multi-primary failure: lane k's primary dies, lane k
     # view-changes, the other lanes keep committing and the merge resumes
-    if protocol == "rcc" and budget and rng.random() < 0.25:
+    if ENGINES[protocol].multi_primary and budget and rng.random() < 0.25:
         victim = rng.choice(primaries)
         if not any(event.target == victim for event in events):
             budget -= 1
@@ -237,7 +237,7 @@ def generate_overload_scenario(master_seed: int, index: int) -> Scenario:
     batch_size = rng.choice((4, 8))
     num_primaries = 1
     view_change_timeout_ms = None
-    if protocol == "rcc":
+    if ENGINES[protocol].multi_primary:
         num_primaries = rng.choice((2, 3))
         view_change_timeout_ms = _round(rng.uniform(8.0, 15.0))
     warmup_ms = 25.0

@@ -58,15 +58,10 @@ from repro.consensus.safety import (
     check_bounded_liveness,
     check_checkpoint_consistency,
 )
+from repro.engines import ENGINES
 from repro.flow.invariants import check_flow_invariants
 from repro.fuzz.scenario import PRIMARY_POLICIES
 from repro.storage.blockchain import ChainViolation
-
-#: protocols that execute speculatively, before agreement completes —
-#: their replica logs may legitimately diverge under an equivocating
-#: primary (repair happens via client certificates / view change); only
-#: client-visible replies carry the safety guarantee there
-_SPECULATIVE_PROTOCOLS = ("zyzzyva", "poe")
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,7 @@ def run_oracle_bank(
             violations.append(Violation("checkpoint-consistency", str(exc)))
 
     # -- rcc: unification is sound and lanes agree across replicas --------
-    if scenario.protocol == "rcc":
+    if ENGINES[scenario.protocol].multi_primary:
         violations.extend(
             _check_rcc_unification(system, scenario, byzantine | ever_crashed)
         )
@@ -231,7 +226,7 @@ def run_oracle_bank(
 def _speculative_split_possible(scenario) -> bool:
     """True when replica-level logs may legally diverge: a speculative
     protocol whose view-0 primary runs an equivocation-capable policy."""
-    return scenario.protocol in _SPECULATIVE_PROTOCOLS and any(
+    return ENGINES[scenario.protocol].speculative and any(
         event.kind == "byzantine"
         and event.target == "r0"
         and event.policy in PRIMARY_POLICIES

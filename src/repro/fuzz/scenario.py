@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional, Tuple
 
 from repro.core.config import SystemConfig
+from repro.engines import ENGINES
 from repro.sim.clock import millis
 
 #: byzantine policies that only make sense on the view-0 primary (they
@@ -238,7 +239,8 @@ class Scenario:
         return cls.from_dict(json.loads(text))
 
     def describe(self) -> str:
-        lanes = f" m={self.num_primaries}" if self.protocol == "rcc" else ""
+        multi = ENGINES[self.protocol].multi_primary
+        lanes = f" m={self.num_primaries}" if multi else ""
         knobs = (
             f"{self.protocol}{lanes} n={self.num_replicas} f={self.f} "
             f"clients={self.num_clients} batch={self.batch_size} "

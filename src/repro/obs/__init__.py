@@ -2,15 +2,16 @@
 
 Three pillars on top of the simulation substrate:
 
-- :mod:`repro.obs.spans` — per-request lifecycle spans stamped at every
-  pipeline hand-off, aggregated into per-stage latency histograms (the
-  "where did the p99 go" breakdown).
+- :mod:`repro.obs.spans` — the run recorder: per-request lifecycle spans
+  stamped at every pipeline hand-off, aggregated into per-stage latency
+  histograms (the "where did the p99 go" breakdown), plus instant events
+  (view changes, executions, recoveries, checkpoints) for replay debugging.
 - :mod:`repro.obs.sampler` — a periodic sim process snapshotting queue
   depths, CPU occupancy and network counters into bounded time series.
 - :mod:`repro.obs.exporters` — Prometheus text, JSON, CSV and Chrome
   trace-event (Perfetto) serialisers.
 
-All hooks follow the ``Tracer.enabled`` guard idiom: disabled
+Every recorder hook tests one flag, ``spans.enabled``: disabled
 observability costs hot paths one attribute read and changes no results.
 """
 

@@ -14,7 +14,7 @@ Four serialisers, all pure functions of the in-memory instruments:
 - :func:`chrome_trace` — Chrome trace-event JSON (load in Perfetto via
   https://ui.perfetto.dev or ``chrome://tracing``) combining lifecycle
   span stages (complete events per pipeline stage) and
-  :class:`~repro.sim.tracing.Tracer` records (instant events).
+  :class:`~repro.obs.spans.SpanRecorder` events (instant events).
 
 Simulation ticks are nanoseconds; trace-event timestamps are microseconds,
 so exported ``ts``/``dur`` values are ticks / 1000.
@@ -26,6 +26,7 @@ import json
 import re
 from typing import Dict, List, Optional
 
+from repro.obs.spans import STAGES
 from repro.sim.clock import NANOS_PER_SEC
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -157,13 +158,13 @@ def sampler_csv(sampler) -> str:
 # ----------------------------------------------------------------------
 # Chrome trace events (Perfetto)
 # ----------------------------------------------------------------------
-def chrome_trace(spans=None, tracer=None, indent: Optional[int] = None) -> str:
-    """Spans and tracer records as a Chrome trace-event JSON document.
+def chrome_trace(recorder, indent: Optional[int] = None) -> str:
+    """A run recorder's spans and events as a Chrome trace-event JSON document.
 
-    Lifecycle spans become per-stage complete events (``ph: "X"``) grouped
-    under one process per client group, one track per request; tracer
-    records become instant events (``ph: "i"``) under one process per
-    node.  The result loads directly in Perfetto / chrome://tracing.
+    Retained lifecycle spans become per-stage complete events (``ph: "X"``)
+    grouped under one process per client group, one track per request;
+    instant events become ``ph: "i"`` events under one process per node.
+    The result loads directly in Perfetto / chrome://tracing.
     """
     events: List[dict] = []
     pids: Dict[str, int] = {}
@@ -182,46 +183,42 @@ def chrome_trace(spans=None, tracer=None, indent: Optional[int] = None) -> str:
             )
         return pids[node]
 
-    if spans is not None:
-        from repro.obs.spans import STAGES
-
-        for (group, request_id), stamps in spans.finished:
-            pid = pid_of(group)
-            previous = stamps.get("submit")
-            if previous is None:
+    for (group, request_id), stamps in recorder.finished:
+        pid = pid_of(group)
+        previous = stamps.get("submit")
+        if previous is None:
+            continue
+        for stage in STAGES[1:]:
+            stamped = stamps.get(stage)
+            if stamped is None:
                 continue
-            for stage in STAGES[1:]:
-                stamped = stamps.get(stage)
-                if stamped is None:
-                    continue
-                events.append(
-                    {
-                        "name": stage,
-                        "cat": "lifecycle",
-                        "ph": "X",
-                        "ts": previous / 1_000,
-                        "dur": (stamped - previous) / 1_000,
-                        "pid": pid,
-                        "tid": request_id,
-                        "args": {"request": request_id},
-                    }
-                )
-                previous = stamped
-
-    if tracer is not None:
-        for record in tracer.records():
             events.append(
                 {
-                    "name": record.category,
-                    "cat": "tracer",
-                    "ph": "i",
-                    "s": "t",
-                    "ts": record.at / 1_000,
-                    "pid": pid_of(record.node),
-                    "tid": 0,
-                    "args": {"detail": record.detail},
+                    "name": stage,
+                    "cat": "lifecycle",
+                    "ph": "X",
+                    "ts": previous / 1_000,
+                    "dur": (stamped - previous) / 1_000,
+                    "pid": pid,
+                    "tid": request_id,
+                    "args": {"request": request_id},
                 }
             )
+            previous = stamped
+
+    for record in recorder.events():
+        events.append(
+            {
+                "name": record.category,
+                "cat": "event",
+                "ph": "i",
+                "s": "t",
+                "ts": record.at / 1_000,
+                "pid": pid_of(record.node),
+                "tid": 0,
+                "args": {"detail": record.detail},
+            }
+        )
 
     doc = {"traceEvents": events, "displayTimeUnit": "ns"}
     return json.dumps(doc, indent=indent, sort_keys=True)

@@ -17,14 +17,21 @@ attributed to the later stage.  Consensus phases operate on batches, not
 requests, so the recorder keeps a sequence-number → request-keys link
 created when the batch is proposed.
 
-Everything here follows the ``Tracer.enabled`` idiom: a disabled recorder
-costs hot paths a single attribute read (callers guard on
-``recorder.enabled`` and never call in when it is False).
+The same recorder keeps the run's *instant events* — view changes,
+executions, recoveries, stable checkpoints — in a bounded ring of
+:class:`TraceRecord`.  Deterministic runs plus these events make failures
+replayable: re-run with the same seed, compare the two event lists with
+:func:`first_divergence`.
+
+Every hook guards on one flag: a disabled recorder costs hot paths a
+single attribute read (callers test ``recorder.enabled`` and never call in
+when it is False).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.sim.clock import NANOS_PER_SEC
@@ -47,9 +54,27 @@ _STAGE_INDEX = {stage: index for index, stage in enumerate(STAGES)}
 #: a span key identifies one client request: (client group name, request id)
 SpanKey = Tuple[str, int]
 
+#: retention of a traced run (``SystemConfig.trace``): finished spans and
+#: instant events kept for export, oldest dropped first
+TRACE_KEEP_FINISHED = 10_000
+TRACE_KEEP_EVENTS = 100_000
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    """One instant event."""
+
+    at: int  # simulation ticks
+    node: str
+    category: str  # "view-change", "execute", "recovery", "checkpoint"
+    detail: str
+
+    def format(self) -> str:
+        return f"[{self.at:>15}] {self.node:<12} {self.category:<10} {self.detail}"
+
 
 class SpanRecorder:
-    """Collects lifecycle spans and aggregates per-stage latency.
+    """The run's recorder: lifecycle spans, per-stage latency, instant events.
 
     - ``begin(key, at)`` opens a span at submission time.
     - ``stamp(key, stage, at)`` records the first time a stage is reached
@@ -60,11 +85,12 @@ class SpanRecorder:
       (``propose``/``prepare``/``commit``/``execute``) fan out to spans.
     - ``finish(key, at)`` closes the span, attributing each gap between
       consecutive stamped stages to the later stage's histogram.
+    - ``event(at, node, category, detail)`` records an instant event.
 
     Memory is bounded: open spans are bounded by the number of in-flight
     client requests (closed-loop clients keep one each), histograms carry a
-    reservoir cap, and finished spans are retained (for trace export) only
-    up to ``keep_finished``.
+    reservoir cap, and finished spans and events are retained (for trace
+    export) only up to ``keep_finished`` and ``keep_events``; 0 keeps none.
     """
 
     def __init__(
@@ -72,10 +98,12 @@ class SpanRecorder:
         enabled: bool = False,
         max_samples: int = 65_536,
         keep_finished: int = 0,
+        keep_events: int = 0,
     ):
         self.enabled = enabled
         self.max_samples = max_samples
         self.keep_finished = keep_finished
+        self.keep_events = keep_events
         self._open: Dict[SpanKey, Dict[str, int]] = {}
         self._by_sequence: Dict[int, Tuple[SpanKey, ...]] = {}
         self.histograms: Dict[str, LatencyHistogram] = {}
@@ -85,6 +113,9 @@ class SpanRecorder:
         )
         self.spans_completed = 0
         self.spans_abandoned = 0
+        #: instant events, oldest dropped (and counted) once the ring is full
+        self._events: Deque[TraceRecord] = deque(maxlen=keep_events)
+        self.events_dropped = 0
 
     # ------------------------------------------------------------------
     # recording
@@ -147,6 +178,13 @@ class SpanRecorder:
         if self._open.pop(key, None) is not None:
             self.spans_abandoned += 1
 
+    def event(self, at: int, node: str, category: str, detail: str) -> None:
+        if not self.keep_events:
+            return
+        if len(self._events) == self.keep_events:
+            self.events_dropped += 1
+        self._events.append(TraceRecord(at, node, category, detail))
+
     def _histogram(self, stage: str) -> LatencyHistogram:
         histogram = self.histograms.get(stage)
         if histogram is None:
@@ -162,7 +200,8 @@ class SpanRecorder:
     def reset_window(self) -> None:
         """Zero the aggregates when warmup ends (open spans survive: a
         request submitted during warmup but completed inside the window
-        counts, matching the request-latency histogram's semantics)."""
+        counts, matching the request-latency histogram's semantics).
+        Events survive too: a trace covers the whole run."""
         for histogram in self.histograms.values():
             histogram.reset()
         self.finished.clear()
@@ -175,6 +214,20 @@ class SpanRecorder:
     @property
     def open_spans(self) -> int:
         return len(self._open)
+
+    def events(
+        self,
+        node: Optional[str] = None,
+        category: Optional[str] = None,
+        since: int = 0,
+    ) -> List[TraceRecord]:
+        return [
+            record
+            for record in self._events
+            if (node is None or record.node == node)
+            and (category is None or record.category == category)
+            and record.at >= since
+        ]
 
     def stage_table(self) -> Dict[str, Dict[str, float]]:
         """Stage -> {count, mean_s, p50_s, p99_s}, in pipeline order
@@ -212,6 +265,23 @@ def validate_stage_order(stamps: Dict[str, int]) -> Optional[str]:
                 f"at {previous_time}"
             )
         previous_time, previous_stage = at, stage
+    return None
+
+
+def first_divergence(
+    ours: List[TraceRecord], theirs: List[TraceRecord]
+) -> Optional[int]:
+    """Index of the first differing event between two traces (the
+    replay-debugging primitive), or None when they are identical.
+
+    Traces of different lengths diverge where the shorter one ends —
+    a missing tail is a divergence, not agreement.
+    """
+    for index, (a, b) in enumerate(zip(ours, theirs)):
+        if a != b:
+            return index
+    if len(ours) != len(theirs):
+        return min(len(ours), len(theirs))
     return None
 
 

@@ -56,6 +56,18 @@ def test_recovery_counter_in_metrics(recovery_config):
     assert system.metrics.counter("recoveries").value >= 1
 
 
+def test_trace_records_recovery_and_checkpoints(recovery_config):
+    system = ResilientDBSystem(recovery_config.with_options(trace=True))
+    system.faults.crash_at("r3", millis(100))
+    system.recover_replica("r3", at_ns=millis(300))
+    system.run()
+    recoveries = system.spans.events(category="recovery")
+    assert [record.node for record in recoveries] == ["r3"] * len(recoveries)
+    assert recoveries and recoveries[0].at >= millis(300)
+    checkpoints = system.spans.events(category="checkpoint")
+    assert {record.node for record in checkpoints} == set(system.replica_ids)
+
+
 def test_throughput_survives_crash_and_recovery(recovery_config):
     system = ResilientDBSystem(recovery_config)
     system.faults.crash_at("r3", millis(100))

@@ -145,6 +145,14 @@ def test_crash_more_than_f_rejected(small_config):
         system.crash_replicas(2)  # f = 1 at n = 4
 
 
+def test_negative_crash_count_rejected(small_config):
+    # replica_ids[-count:] with count=-1 would crash every replica but r0
+    system = ResilientDBSystem(small_config)
+    with pytest.raises(ValueError):
+        system.crash_replicas(-1)
+    assert not system.faults.crashed_nodes(now=0)
+
+
 def test_more_than_f_crashes_halt_commitment():
     config = SystemConfig(
         num_replicas=4,

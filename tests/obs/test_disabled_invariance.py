@@ -67,7 +67,9 @@ def test_disabled_observability_never_calls_the_recorder(monkeypatch):
     def explode(self, *args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("observability hook ran while disabled")
 
-    for method in ("begin", "stamp", "stamp_sequence", "link_batch", "finish"):
+    for method in (
+        "begin", "stamp", "stamp_sequence", "link_batch", "finish", "event"
+    ):
         monkeypatch.setattr(SpanRecorder, method, explode)
     result = run_once()  # all observability off by default
     assert result.completed_requests > 0
@@ -79,7 +81,6 @@ def test_enabling_observability_changes_no_results(protocol):
     observed = run_once(
         protocol=protocol,
         lifecycle_spans=True,
-        span_keep_finished=100,
         sample_interval=millis(5),
         trace=True,
     )

@@ -13,7 +13,6 @@ from repro.obs.sampler import PipelineSampler, TimeSeries
 from repro.obs.spans import SpanRecorder
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.tracing import Tracer
 
 #: one Prometheus exposition line: comment, blank, or `name{labels} value`
 _PROM_LINE = re.compile(
@@ -119,15 +118,14 @@ def test_sampler_csv_golden():
 # Chrome trace events (Perfetto)
 # ----------------------------------------------------------------------
 def test_chrome_trace_spans_and_tracer():
-    spans = SpanRecorder(enabled=True, keep_finished=10)
-    spans.begin(("client0", 3), 1_000)
-    spans.stamp(("client0", 3), "input", 2_000)
-    spans.stamp(("client0", 3), "execute", 5_000)
-    spans.finish(("client0", 3), 6_000)
-    tracer = Tracer()
-    tracer.record(4_000, "r0", "checkpoint", "stable at 10")
+    recorder = SpanRecorder(enabled=True, keep_finished=10, keep_events=10)
+    recorder.begin(("client0", 3), 1_000)
+    recorder.stamp(("client0", 3), "input", 2_000)
+    recorder.stamp(("client0", 3), "execute", 5_000)
+    recorder.finish(("client0", 3), 6_000)
+    recorder.event(4_000, "r0", "checkpoint", "stable at 10")
 
-    doc = json.loads(chrome_trace(spans=spans, tracer=tracer))
+    doc = json.loads(chrome_trace(recorder))
     assert doc["displayTimeUnit"] == "ns"
     events = doc["traceEvents"]
     assert isinstance(events, list)
@@ -155,5 +153,5 @@ def test_chrome_trace_spans_and_tracer():
 
 
 def test_chrome_trace_empty_inputs():
-    doc = json.loads(chrome_trace())
+    doc = json.loads(chrome_trace(SpanRecorder()))
     assert doc["traceEvents"] == []

@@ -123,7 +123,7 @@ def test_validate_stage_order():
 @pytest.mark.parametrize("protocol", ["pbft", "zyzzyva", "poe"])
 def test_system_stage_table_per_protocol(protocol):
     system = ResilientDBSystem(
-        small_config(protocol=protocol, span_keep_finished=500)
+        small_config(protocol=protocol, trace=True)
     )
     result = system.run()
     table = result.stage_latency

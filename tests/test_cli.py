@@ -38,6 +38,14 @@ def test_run_with_crashes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("count", ["2", "-1"])
+def test_run_rejects_a_crash_count_outside_zero_to_f(count, capsys):
+    assert main(FAST_RUN + ["--crash-backups", count]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "cannot crash" in err
+    assert "Traceback" not in err
+
+
 FAST_RUN = [
     "run",
     "--replicas", "4",
@@ -82,7 +90,7 @@ def test_run_observability_outputs(tmp_path, capsys):
 
     doc = json.loads(trace.read_text())
     assert doc["traceEvents"] and doc["displayTimeUnit"] == "ns"
-    assert {e["ph"] for e in doc["traceEvents"]} >= {"M", "X"}
+    assert {e["ph"] for e in doc["traceEvents"]} >= {"M", "X", "i"}
 
     prom_text = prom.read_text()
     assert "# TYPE repro_txns_completed_total counter" in prom_text
