@@ -33,7 +33,7 @@ class ZyzzyvaClientGroup(ClientGroup):
             return  # completed on the fast path; timer is moot
         commit_needed = self.system.quorum.certificate_quorum
         best_key, responders = None, set()
-        for key, who in pending.spec_matches.items():
+        for key, who in (pending.spec_matches or {}).items():
             if len(who) > len(responders):
                 best_key, responders = key, who
         if best_key is not None and len(responders) >= commit_needed:

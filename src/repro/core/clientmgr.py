@@ -21,7 +21,6 @@ import this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.consensus.messages import ClientRequest
@@ -31,28 +30,47 @@ from repro.sim.events import Timer
 from repro.workloads.ycsb import YCSBWorkload
 
 
-@dataclass
 class PendingRequest:
-    """Book-keeping for one in-flight logical-client request."""
+    """Book-keeping for one in-flight logical-client request.
 
-    submitted_at: int
-    txn_count: int
-    #: the request message, kept for retransmission
-    request: Optional[ClientRequest] = None
-    #: the armed retransmit (or engine) timer, cancelled on completion
-    timer: Optional[Timer] = None
-    #: client-responses: responding replica -> result digest
-    responses: Dict[str, str] = field(default_factory=dict)
-    #: spec-responses: match key -> set of responders
-    spec_matches: Dict[Tuple, Set[str]] = field(default_factory=dict)
-    #: commit-certificate slow path state (Zyzzyva)
-    certificate_sent: bool = False
-    certificate_sequence: Optional[int] = None
-    certificate_digest: Optional[str] = None
-    local_commits: Set[str] = field(default_factory=set)
-    retransmissions: int = 0
-    #: busy-nacks received for this request (feeds the backoff exponent)
-    nacks: int = 0
+    Slotted, and its containers are created on first use: a request
+    waiting for its first reply holds none, and a PBFT or RCC client
+    never pays for the speculative-path ones (``spec_matches``,
+    ``local_commits``).
+    """
+
+    __slots__ = (
+        "submitted_at", "txn_count", "request", "timer", "responses",
+        "spec_matches", "certificate_sent", "certificate_sequence",
+        "certificate_digest", "local_commits", "retransmissions", "nacks",
+    )
+
+    def __init__(
+        self,
+        submitted_at: int,
+        txn_count: int,
+        request: Optional[ClientRequest] = None,
+    ):
+        self.submitted_at = submitted_at
+        self.txn_count = txn_count
+        #: the request message, kept for retransmission
+        self.request = request
+        #: the armed retransmit (or engine) timer, cancelled on completion
+        self.timer: Optional[Timer] = None
+        #: client-responses: responding replica -> result digest (None
+        #: until the first client-response)
+        self.responses: Optional[Dict[str, str]] = None
+        #: spec-responses: match key -> set of responders (None until the
+        #: first spec-response)
+        self.spec_matches: Optional[Dict[Tuple, Set[str]]] = None
+        #: commit-certificate slow path state (Zyzzyva)
+        self.certificate_sent = False
+        self.certificate_sequence: Optional[int] = None
+        self.certificate_digest: Optional[str] = None
+        self.local_commits: Optional[Set[str]] = None
+        self.retransmissions = 0
+        #: busy-nacks received for this request (feeds the backoff exponent)
+        self.nacks = 0
 
 
 class ClientGroup:
@@ -239,10 +257,13 @@ class ClientGroup:
                     pending = self.pending.get(request_id)
                     if pending is None:
                         continue
-                    pending.responses[message.sender] = message.result_digest
+                    responses = pending.responses
+                    if responses is None:
+                        responses = pending.responses = {}
+                    responses[message.sender] = message.result_digest
                     matching = sum(
                         1
-                        for digest in pending.responses.values()
+                        for digest in responses.values()
                         if digest == message.result_digest
                     )
                     if upper_bound or matching >= quorum_needed:
@@ -262,7 +283,10 @@ class ClientGroup:
                     pending = self.pending.get(request_id)
                     if pending is None:
                         continue
-                    responders = pending.spec_matches.setdefault(key, set())
+                    matches = pending.spec_matches
+                    if matches is None:
+                        matches = pending.spec_matches = {}
+                    responders = matches.setdefault(key, set())
                     responders.add(message.sender)
                     if len(responders) >= fast_needed:
                         self._complete(
@@ -284,6 +308,8 @@ class ClientGroup:
                 or pending.certificate_sequence != message.sequence
             ):
                 continue
+            if pending.local_commits is None:
+                pending.local_commits = set()
             pending.local_commits.add(message.sender)
             if len(pending.local_commits) >= commit_needed:
                 self._complete(

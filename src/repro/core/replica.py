@@ -67,6 +67,7 @@ from repro.consensus.messages import (
 )
 from repro.flow import AdmissionController, FlowStats
 from repro.consensus.zyzzyva import GENESIS_HISTORY, extend_history
+from repro.core.dedup import RequestKeySet
 from repro.crypto.hashing import digest_bytes, digest_cost
 from repro.engines import ENGINES
 from repro.net.message import Message
@@ -113,7 +114,7 @@ class Replica:
         #: request keys already placed in a proposal; shedding one of
         #: these would violate the no-shed-after-sequencing invariant
         #: (tripwired in ``_on_batch_shed``)
-        self._sequenced_keys: set = set()
+        self._sequenced_keys = RequestKeySet()
 
         # -- queues between stages --------------------------------------
         policy = config.queue_policy
@@ -203,7 +204,8 @@ class Replica:
         )
 
         # -- primary-side sequencing ----------------------------------------
-        self._seen_requests: set = set()
+        #: request keys admitted for batching (retransmissions are dropped)
+        self._seen_requests = RequestKeySet()
         #: out-of-order ablation: a capacity-1 token gate (§4.5)
         self._consensus_token: Optional[SimQueue] = None
         if not config.out_of_order:
@@ -295,20 +297,20 @@ class Replica:
             # suspected and a view change begins
             self._arm_forward_probe()
             return False
-        key = (message.sender, message.request_id)
-        if key in self._seen_requests:
+        sender, request_id = message.sender, message.request_id
+        if self._seen_requests.contains(sender, request_id):
             return False  # client retransmission of an in-flight request
         # admission control runs before anything is recorded, so a NACKed
         # retry re-enters cleanly once the primary has room again
-        reason = self.admission.try_admit(message.sender)
+        reason = self.admission.try_admit(sender)
         if reason is not None:
             self.flow.rejected_requests += 1
             self._send_busy_nack(message, reason)
             return False
-        self._seen_requests.add(key)
+        self._seen_requests.add(sender, request_id)
         spans = self.system.spans
         if spans.enabled:
-            spans.stamp(key, "input", self.sim.now)
+            spans.stamp((sender, request_id), "input", self.sim.now)
         return True
 
     # ==================================================================
@@ -319,7 +321,7 @@ class Replica:
     ) -> None:
         """A bounded queue refused this request: undo its admission and
         NACK the client so it backs off and retries."""
-        self._seen_requests.discard((message.sender, message.request_id))
+        self._seen_requests.discard(message.sender, message.request_id)
         if admitted:
             self.admission.release_client(message.sender)
         self.flow.rejected_requests += 1
@@ -330,15 +332,16 @@ class Replica:
         if not isinstance(item, ClientRequest):
             self.flow.shed_messages += 1
             return
-        key = (item.sender, item.request_id)
-        if key in self._sequenced_keys:
+        sender, request_id = item.sender, item.request_id
+        key = (sender, request_id)
+        if self._sequenced_keys.contains(sender, request_id):
             # must be unreachable: requests gain a sequence number only
             # after leaving these queues — recorded for the oracle
             self.flow.shed_sequenced.append(key)
         self.flow.shed_requests += 1
         self.flow.shed_keys.append(key)
-        self._seen_requests.discard(key)
-        self.admission.release_client(item.sender)
+        self._seen_requests.discard(sender, request_id)
+        self.admission.release_client(sender)
         self._send_busy_nack(item, "shed")
 
     def _on_message_shed(self, item) -> None:
@@ -468,7 +471,7 @@ class Replica:
         # the point where overload shedding may touch them.  (An RCC
         # proposal's sequence is already the global round-robin slot.)
         for request in valid_requests:
-            self._sequenced_keys.add((request.sender, request.request_id))
+            self._sequenced_keys.add(request.sender, request.request_id)
         self.admission.on_propose(proposal.sequence)
         spans = self.system.spans
         if spans.enabled:

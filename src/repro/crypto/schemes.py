@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import hmac
 import hashlib
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
@@ -37,22 +37,59 @@ class SchemeName(str, enum.Enum):
     CMAC_AES = "cmac-aes"
 
 
-@dataclass(frozen=True)
 class AuthToken:
-    """Authentication material attached to a message.
+    """Authentication material attached to a message (immutable).
 
-    ``tokens`` maps receiver identity to its MAC token; the special key
-    ``None`` holds a universal digital-signature token valid for every
-    receiver.
+    A digital signature carries one ``universal`` token that every
+    receiver verifies; a MAC vector carries ``tokens``, each receiver's
+    MAC under its pairwise key.  An unauthenticated (null-scheme) token
+    carries neither.  Slotted, because every in-flight request holds one.
     """
 
-    scheme: SchemeName
-    signer: str
-    tokens: Dict[Optional[str], bytes]
+    __slots__ = ("scheme", "signer", "universal", "tokens")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        scheme: SchemeName,
+        signer: str,
+        tokens: Optional[Dict[str, bytes]] = None,
+        universal: Optional[bytes] = None,
+    ):
+        setter = object.__setattr__
+        setter(self, "scheme", scheme)
+        setter(self, "signer", signer)
+        setter(self, "universal", universal)
+        setter(self, "tokens", tokens)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return AuthToken, self._fields()
+
+    def _fields(self) -> tuple:
+        return (self.scheme, self.signer, self.tokens, self.universal)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"AuthToken(scheme={self.scheme!r}, signer={self.signer!r}, "
+            f"tokens={self.tokens!r}, universal={self.universal!r})"
+        )
 
     def for_receiver(self, receiver: str) -> Optional[bytes]:
-        if None in self.tokens:
-            return self.tokens[None]
+        if self.universal is not None:
+            return self.universal
+        if self.tokens is None:
+            return None
         return self.tokens.get(receiver)
 
 
@@ -113,7 +150,7 @@ class NullScheme(SignatureScheme):
         return 0
 
     def authenticate(self, data, signer, receivers):
-        return AuthToken(self.name, signer, {}), 0
+        return AuthToken(self.name, signer), 0
 
     def check(self, data, token, signer, receiver):
         return True, 0
@@ -143,7 +180,7 @@ class _DigitalSignatureScheme(SignatureScheme):
         seed = self.keystore.signing_seed(signer)
         token = hmac.new(seed, data, hashlib.sha256).digest()
         return (
-            AuthToken(self.name, signer, {None: token}),
+            AuthToken(self.name, signer, universal=token),
             self.sign_cost(len(data), receivers=1),
         )
 
@@ -200,7 +237,7 @@ class CmacAesScheme(SignatureScheme):
 
     def authenticate(self, data, signer, receivers):
         receivers = list(receivers)
-        tokens: Dict[Optional[str], bytes] = {}
+        tokens: Dict[str, bytes] = {}
         for receiver in receivers:
             key = self.keystore.pair_key(signer, receiver)
             tokens[receiver] = hmac.new(key, data, hashlib.sha256).digest()[:16]

@@ -1,0 +1,161 @@
+"""The primaries' request dedup state: admission, retry and clearing."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.consensus.messages import ClientRequest
+from repro.core import ResilientDBSystem
+from repro.core.dedup import RequestKeySet
+from repro.workloads import Operation, OpType, Transaction
+
+
+def request(sender="client0", request_id=0):
+    txn = Transaction(sender, (Operation(OpType.WRITE, f"k{request_id}", "v"),))
+    return ClientRequest(sender, request_id, (txn,))
+
+
+@pytest.fixture
+def primary(small_config):
+    system = ResilientDBSystem(small_config)
+    replica = system.replicas["r0"]
+    assert replica.is_primary
+    return replica
+
+
+# ----------------------------------------------------------------------
+# RequestKeySet behaves as the set of key tuples it replaces
+# ----------------------------------------------------------------------
+# ids around page boundaries (pages hold 4,096 ids) and one far-off id
+request_ids = st.one_of(
+    st.integers(0, 40), st.integers(4_080, 4_110), st.just(10**12)
+)
+keys = st.tuples(st.sampled_from(["client0", "client1", "client2"]), request_ids)
+ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), keys),
+        st.tuples(st.just("discard"), keys),
+        st.tuples(st.just("clear"), st.none()),
+    ),
+    max_size=120,
+)
+
+
+@given(ops, st.lists(keys, max_size=40))
+def test_request_key_set_matches_a_set_of_tuples(operations, probes):
+    compact, reference = RequestKeySet(), set()
+    for op, key in operations:
+        if op == "add":
+            compact.add(*key)
+            reference.add(key)
+        elif op == "discard":
+            compact.discard(*key)
+            reference.discard(key)
+        else:
+            compact.clear()
+            reference.clear()
+        assert len(compact) == len(reference)
+    touched = [key for _op, key in operations if key is not None]
+    for sender, request_id in touched + probes:
+        for near in (request_id - 1, request_id, request_id + 1):
+            expected = (sender, near) in reference
+            assert compact.contains(sender, near) == expected
+
+
+def test_a_far_off_request_id_costs_one_page():
+    keys = RequestKeySet()
+    keys.add("c", 3)
+    keys.add("c", 10**12)
+    assert keys.contains("c", 3) and keys.contains("c", 10**12)
+    assert not keys.contains("c", 4) and not keys.contains("c", 10**12 - 1)
+    assert len(keys) == 2
+    assert sum(len(page) for page in keys._senders["c"].values()) == 2 * 512
+
+
+# ----------------------------------------------------------------------
+# admission at the primary
+# ----------------------------------------------------------------------
+def test_retransmission_of_an_admitted_request_is_dropped(primary):
+    first = request(request_id=7)
+    assert primary._admit_client_request(first)
+    # the same key again — a client retransmission of an in-flight request
+    assert not primary._admit_client_request(request(request_id=7))
+    assert primary.flow.rejected_requests == 0
+    # other ids and other senders are unaffected
+    assert primary._admit_client_request(request(request_id=8))
+    assert primary._admit_client_request(request("client1", request_id=7))
+
+
+def test_queue_rejected_request_is_admitted_again_on_retry(primary):
+    message = request(request_id=3)
+    assert primary._admit_client_request(message)
+    # a bounded queue refused it: admission is undone and the client NACKed
+    primary._reject_request(message, "queue")
+    assert primary.flow.rejected_requests == 1
+    assert primary._admit_client_request(request(request_id=3))
+
+
+def test_request_refused_before_admission_is_admitted_on_retry(primary):
+    primary.admission.max_per_client = 1
+    assert primary._admit_client_request(request(request_id=0))
+    # the per-client budget is full: NACKed, nothing recorded
+    assert not primary._admit_client_request(request(request_id=1))
+    assert primary.flow.rejected_requests == 1
+    primary._reject_request(request(request_id=1), "queue", admitted=False)
+    primary.admission.release_client("client0")
+    assert primary._admit_client_request(request(request_id=1))
+
+
+def test_shed_request_is_admitted_again_on_retry(primary):
+    message = request(request_id=5)
+    assert primary._admit_client_request(message)
+    primary._on_batch_shed(message)
+    assert primary.flow.shed_keys == [("client0", 5)]
+    assert primary.flow.shed_sequenced == []
+    assert primary._admit_client_request(request(request_id=5))
+
+
+def test_shedding_a_sequenced_request_is_recorded_for_the_oracle(primary):
+    message = request(request_id=9)
+    assert primary._admit_client_request(message)
+    primary._sequenced_keys.add(message.sender, message.request_id)
+    primary._on_batch_shed(message)
+    assert primary.flow.shed_sequenced == [("client0", 9)]
+
+
+# ----------------------------------------------------------------------
+# clearing on a stable checkpoint
+# ----------------------------------------------------------------------
+def test_dedup_state_clears_above_four_keys_per_client(primary):
+    limit = 4 * primary.config.num_clients
+    senders = [f"client{i}" for i in range(4)]
+    for request_id in range(limit):
+        sender = senders[request_id % len(senders)]
+        assert primary._admit_client_request(request(sender, request_id))
+        primary._sequenced_keys.add(sender, request_id)
+        primary.admission.release_client(sender)
+    primary._gc_seen_requests(horizon=1)
+    # exactly at the limit: nothing is cleared yet
+    assert len(primary._seen_requests) == limit
+    assert len(primary._sequenced_keys) == limit
+    assert not primary._admit_client_request(request("client0", 0))
+
+    # one key more trips the clear, for both sets
+    assert primary._admit_client_request(request("client0", limit))
+    primary._sequenced_keys.add("client0", limit)
+    primary._gc_seen_requests(horizon=1)
+    assert len(primary._seen_requests) == 0
+    assert len(primary._sequenced_keys) == 0
+    # a cleared key is admitted again, as with the old set
+    assert primary._admit_client_request(request("client0", 0))
+
+
+def test_discarded_keys_do_not_count_towards_the_clear(primary):
+    limit = 4 * primary.config.num_clients
+    for request_id in range(limit + 1):
+        message = request(request_id=request_id)
+        assert primary._admit_client_request(message)
+        primary.admission.release_client("client0")
+    primary._reject_request(request(request_id=0), "queue")
+    primary._gc_seen_requests(horizon=1)
+    assert len(primary._seen_requests) == limit
+    assert primary._seen_requests.contains("client0", limit)

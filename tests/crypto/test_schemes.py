@@ -1,5 +1,8 @@
 """Tests for signature schemes: real integrity + modelled cost."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.crypto import (
@@ -93,6 +96,28 @@ def test_mac_token_is_per_receiver(keystore):
     # r2 was not a receiver: it has no token to check
     valid, _ = scheme.check(b"msg", token, "r0", "r2")
     assert not valid
+
+
+def test_digital_signature_carries_one_token_for_every_receiver(keystore):
+    scheme = Ed25519Scheme(keystore)
+    token, _ = scheme.authenticate(b"msg", "r0", ["r1", "r2"])
+    assert token.tokens is None
+    assert token.for_receiver("r1") == token.universal
+    assert token.for_receiver("r2") == token.universal
+    assert scheme.check(b"msg", token, "r0", "client0")[0]
+
+
+def test_auth_token_is_a_compact_immutable_record(keystore):
+    token, _ = CmacAesScheme(keystore).authenticate(b"msg", "r0", ["r1"])
+    assert not hasattr(token, "__dict__")
+    assert token.for_receiver("r1") == token.tokens["r1"]
+    assert token.universal is None
+    with pytest.raises(AttributeError):
+        token.signer = "r2"
+    assert copy.deepcopy(token) == token
+    assert pickle.loads(pickle.dumps(token)) == token
+    unsigned, _ = NullScheme(keystore).authenticate(b"m", "r0", ["r1"])
+    assert unsigned.for_receiver("r1") is None
 
 
 def test_missing_token_fails(keystore):

@@ -1,5 +1,8 @@
 """Tests for the YCSB workload, Zipfian keys and transactions."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.sim.rng import DeterministicRNG
@@ -90,6 +93,38 @@ def test_wire_bytes_accounts_ops_and_padding():
         client_id="c", ops=(Operation(OpType.WRITE, "key1", "value1"),)
     )
     assert txn.wire_bytes() == bare.wire_bytes() + 500
+
+
+def test_operation_is_a_frozen_hashable_value_record():
+    op = Operation(OpType.WRITE, "k", "v")
+    same = Operation(OpType.WRITE, "k", "v")
+    assert op == same and hash(op) == hash(same)
+    assert op != Operation(OpType.WRITE, "k", "w")
+    assert len({op, same, Operation(OpType.READ, "k")}) == 2
+    assert not hasattr(op, "__dict__")
+    with pytest.raises(AttributeError):
+        op.key = "other"
+    with pytest.raises(AttributeError):
+        del op.value
+    assert repr(op) == (
+        "Operation(op_type=<OpType.WRITE: 'write'>, key='k', value='v')"
+    )
+    assert copy.copy(op) == op
+    assert pickle.loads(pickle.dumps(op)) == op
+
+
+def test_transaction_is_a_mutable_value_record():
+    ops = (Operation(OpType.READ, "k"),)
+    txn = Transaction("c", ops, padding_bytes=8)
+    assert txn == Transaction("c", ops, 8)
+    assert txn != Transaction("c", ops)
+    assert not hasattr(txn, "__dict__")
+    with pytest.raises(TypeError):
+        hash(txn)
+    with pytest.raises(AttributeError):
+        txn.txn_id = 1  # no per-transaction id: its batch's sequence names it
+    assert repr(txn) == f"Transaction(client_id='c', ops={ops!r}, padding_bytes=8)"
+    assert pickle.loads(pickle.dumps(txn)) == txn
 
 
 def test_canonical_bytes_distinguish_content():
