@@ -10,13 +10,28 @@ collapse).  With fewer, it resends the request to every replica.
 
 from __future__ import annotations
 
+from typing import Dict, Optional, Set, Tuple
+
 from repro.consensus.messages import CommitCertificate
 from repro.core.clientmgr import ClientGroup, PendingRequest
 from repro.sim.events import Timer
 
 
 class ZyzzyvaClientGroup(ClientGroup):
-    """Closed-loop clients of a Zyzzyva deployment."""
+    """Closed-loop clients of a Zyzzyva deployment.
+
+    Slow-path state lives here, not on every request record: only
+    requests whose commit certificate is out have an entry, and it is
+    dropped when the request completes.
+    """
+
+    def __init__(self, system, index: int, logical_clients: int):
+        super().__init__(system, index, logical_clients)
+        #: certificate sequence -> request id -> (certified result
+        #: digest, replicas that acked it with a local-commit)
+        self._awaiting_commit: Dict[int, Dict[int, Tuple[str, Set[str]]]] = {}
+        #: request id -> the sequence its commit certificate names
+        self._certified: Dict[int, int] = {}
 
     def _spec_quorum(self) -> int:
         return self.system.quorum.fast_path_quorum
@@ -37,11 +52,12 @@ class ZyzzyvaClientGroup(ClientGroup):
             if len(who) > len(responders):
                 best_key, responders = key, who
         if best_key is not None and len(responders) >= commit_needed:
-            if not pending.certificate_sent:
-                pending.certificate_sent = True
+            if request_id not in self._certified:
                 view, sequence, result_digest, _history = best_key
-                pending.certificate_sequence = sequence
-                pending.certificate_digest = result_digest
+                self._certified[request_id] = sequence
+                self._awaiting_commit.setdefault(sequence, {})[request_id] = (
+                    result_digest, set(),
+                )
                 certificate = CommitCertificate(
                     self.name, view, sequence, result_digest,
                     tuple(sorted(responders)[:commit_needed]),
@@ -59,3 +75,36 @@ class ZyzzyvaClientGroup(ClientGroup):
             self._retransmit(request_id, pending)
         # re-arm in case the certificate or the resent request gets lost
         self._arm_timer(request_id, pending)
+
+    def _handle_other_reply(self, message) -> None:
+        """A local-commit acks one certificate sequence: it counts for
+        every request whose certificate names it, in request-id order."""
+        if message.kind != "local-commit":
+            return
+        waiting = self._awaiting_commit.get(message.sequence)
+        if waiting is None:
+            return
+        commit_needed = self.system.quorum.certificate_quorum
+        for request_id in sorted(waiting):
+            digest, acks = waiting[request_id]
+            acks.add(message.sender)
+            if len(acks) >= commit_needed:
+                self._complete(
+                    request_id, fast=False,
+                    sequence=message.sequence, digest=digest,
+                )
+
+    def _complete(
+        self,
+        request_id: int,
+        fast: bool,
+        sequence: Optional[int] = None,
+        digest: Optional[str] = None,
+    ) -> None:
+        certified = self._certified.pop(request_id, None)
+        if certified is not None:
+            waiting = self._awaiting_commit[certified]
+            del waiting[request_id]
+            if not waiting:
+                del self._awaiting_commit[certified]
+        super()._complete(request_id, fast, sequence, digest)

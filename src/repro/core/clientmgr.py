@@ -35,14 +35,14 @@ class PendingRequest:
 
     Slotted, and its containers are created on first use: a request
     waiting for its first reply holds none, and a PBFT or RCC client
-    never pays for the speculative-path ones (``spec_matches``,
-    ``local_commits``).
+    never pays for the speculative-path one (``spec_matches``).  The
+    Zyzzyva commit-certificate path keeps its state in its own client
+    (:mod:`repro.consensus.zyzzyva_client`), not here.
     """
 
     __slots__ = (
         "submitted_at", "txn_count", "request", "timer", "responses",
-        "spec_matches", "certificate_sent", "certificate_sequence",
-        "certificate_digest", "local_commits", "retransmissions", "nacks",
+        "spec_matches", "retransmissions", "nacks",
     )
 
     def __init__(
@@ -63,11 +63,6 @@ class PendingRequest:
         #: spec-responses: match key -> set of responders (None until the
         #: first spec-response)
         self.spec_matches: Optional[Dict[Tuple, Set[str]]] = None
-        #: commit-certificate slow path state (Zyzzyva)
-        self.certificate_sent = False
-        self.certificate_sequence: Optional[int] = None
-        self.certificate_digest: Optional[str] = None
-        self.local_commits: Optional[Set[str]] = None
         self.retransmissions = 0
         #: busy-nacks received for this request (feeds the backoff exponent)
         self.nacks = 0
@@ -102,21 +97,14 @@ class ClientGroup:
         config = self.config
         base_retry = config.client_retransmit or millis(5)
         self.backoff = RetransmitBackoff(
-            base=base_retry,
-            factor=config.retransmit_backoff_factor,
-            cap=config.retransmit_backoff_max,
-            jitter=config.retransmit_jitter,
-            rng=system.rng.fork(f"{self.name}.flow"),
+            base=base_retry, rng=system.rng.fork(f"{self.name}.flow")
         )
         # the AIMD pending window; by default every logical client may
         # have its one request in flight (no windowing until congestion)
         initial = config.client_window_initial or logical_clients
         self.window = AIMDWindow(
             initial=max(1, min(initial, logical_clients)),
-            min_size=min(config.client_window_min, max(1, logical_clients)),
             max_size=logical_clients,
-            additive=config.client_window_additive,
-            decrease=config.client_window_decrease,
             cooldown=base_retry,
         )
         #: logical clients whose next request awaits window room
@@ -247,7 +235,6 @@ class ClientGroup:
     def _inbox_loop(self):
         quorum_needed = self.system.quorum.client_response_quorum
         fast_needed = self._spec_quorum()
-        commit_needed = self.system.quorum.certificate_quorum
         upper_bound = not self.config.consensus_enabled
         while True:
             message = yield self.endpoint.inbox.get()
@@ -294,29 +281,14 @@ class ClientGroup:
                             sequence=message.sequence,
                             digest=message.result_digest,
                         )
-            elif kind == "local-commit":
-                # sequence-scoped ack; match any pending request awaiting
-                # certificates for that sequence
-                self._handle_local_commit(message, commit_needed)
             elif kind == "busy-nack":
                 self._handle_busy(message)
+            else:
+                self._handle_other_reply(message)
 
-    def _handle_local_commit(self, message, commit_needed: int) -> None:
-        for request_id, pending in list(self.pending.items()):
-            if (
-                not pending.certificate_sent
-                or pending.certificate_sequence != message.sequence
-            ):
-                continue
-            if pending.local_commits is None:
-                pending.local_commits = set()
-            pending.local_commits.add(message.sender)
-            if len(pending.local_commits) >= commit_needed:
-                self._complete(
-                    request_id, fast=False,
-                    sequence=pending.certificate_sequence,
-                    digest=pending.certificate_digest,
-                )
+    def _handle_other_reply(self, message) -> None:
+        """A reply kind these client rules do not speak (an engine's
+        client subclass handles its own, e.g. Zyzzyva's local-commit)."""
 
     # ------------------------------------------------------------------
     def _complete(

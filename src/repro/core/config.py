@@ -71,9 +71,6 @@ class SystemConfig:
     #: concurrent consensus instances of a multi-primary engine (RCC):
     #: instance k's view-0 primary is replica k.  Single-lane engines: 1.
     num_primaries: int = 1
-    #: how often an RCC lane leader runs its balance pass, committing
-    #: null-batch skip certificates for lanes that fell behind the merge
-    rcc_balance_interval: int = millis(2)
 
     # -- pipeline (Figures 6a/6b) ---------------------------------------
     batch_threads: int = 2  # "B" in Fig. 8; 0 = worker does batching
@@ -91,11 +88,6 @@ class SystemConfig:
     batch_size: int = 100
     ops_per_txn: int = 1  # Fig. 11
     payload_padding_bytes: int = 0  # Fig. 12
-    #: how long a batch-thread waits for its batch to fill before
-    #: proposing a partial one.  Bounds latency at low load; under load
-    #: batches always fill.  (Without it, medium loads degenerate into
-    #: near-empty batches and consensus overhead explodes.)
-    batch_fill_timeout: int = millis(2)
     ycsb_records: int = 600_000
     ycsb_theta: float = 0.99
     write_fraction: float = 1.0
@@ -110,7 +102,6 @@ class SystemConfig:
     #: checkpoint period in *transactions* ("once per 10K transactions")
     checkpoint_txns: int = 10_000
     buffer_pool: bool = True
-    buffer_pool_capacity: int = 4_096
 
     # -- design ablations -------------------------------------------------
     #: §4.5 out-of-order consensus; False serialises the primary to one
@@ -146,17 +137,17 @@ class SystemConfig:
     state_transfer_retry: int = millis(50)
 
     # -- overload protection (repro.flow) ----------------------------------
-    #: back-pressure policy for bounded pipeline queues: "block" parks the
-    #: producer, "shed_oldest" evicts the oldest queued item (NACKing shed
-    #: client requests), "reject" refuses the new arrival with a busy-nack
+    #: back-pressure policy for the bounded queues (batch queue, inbox):
+    #: "block" parks the producer, "shed_oldest" evicts the oldest queued
+    #: item (NACKing shed client requests), "reject" refuses the new
+    #: arrival with a busy-nack
     queue_policy: str = "block"
-    #: per-stage queue bounds; None leaves a queue unbounded (the default,
-    #: matching the paper's deployment).  The work-queue bound applies to
-    #: client requests only — protocol messages are never shed.
+    #: queue bounds; None leaves a queue unbounded (the default, matching
+    #: the paper's deployment).  The batch queue holds client requests
+    #: only, so it needs batch-threads (0B batches in the worker).  The
+    #: protocol queues (work, checkpoint, output) are always unbounded:
+    #: shedding a quorum vote would break consensus liveness.
     batch_queue_capacity: Optional[int] = None
-    work_queue_capacity: Optional[int] = None
-    checkpoint_queue_capacity: Optional[int] = None
-    output_queue_capacity: Optional[int] = None
     inbox_capacity: Optional[int] = None
     #: primary admission control: cap consensus instances proposed but not
     #: yet executed / requests admitted per client group; requests over a
@@ -164,16 +155,11 @@ class SystemConfig:
     admission_max_inflight: Optional[int] = None
     admission_max_per_client: Optional[int] = None
     #: client AIMD pending window: initial size (None → every logical
-    #: client in flight, i.e. no windowing until a NACK shrinks it)
+    #: client in flight, i.e. no windowing until a NACK shrinks it).  The
+    #: window's steps and the retransmission backoff (base
+    #: ``client_retransmit``) are the :class:`~repro.flow.AIMDWindow` and
+    #: :class:`~repro.flow.RetransmitBackoff` defaults.
     client_window_initial: Optional[int] = None
-    client_window_min: int = 1
-    client_window_additive: int = 1
-    client_window_decrease: float = 0.5
-    #: retransmission backoff: delay(n) = min(base * factor**n, max) plus
-    #: a deterministic jitter fraction; base is ``client_retransmit``
-    retransmit_backoff_factor: float = 2.0
-    retransmit_backoff_max: Optional[int] = None
-    retransmit_jitter: float = 0.1
 
     # -- measurement --------------------------------------------------------
     warmup: int = millis(150)
@@ -227,8 +213,6 @@ class SystemConfig:
             raise ValueError("num_primaries must be in [1, num_replicas]")
         if self.num_primaries > 1 and not ENGINES[self.protocol].multi_primary:
             raise ValueError(f"protocol {self.protocol!r} runs one consensus lane")
-        if self.rcc_balance_interval < 1:
-            raise ValueError("rcc_balance_interval must be >= 1 tick")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.client_batch_txns < 1:
@@ -259,28 +243,18 @@ class SystemConfig:
             )
         for knob in (
             "batch_queue_capacity",
-            "work_queue_capacity",
-            "checkpoint_queue_capacity",
-            "output_queue_capacity",
             "inbox_capacity",
             "admission_max_inflight",
             "admission_max_per_client",
             "client_window_initial",
-            "retransmit_backoff_max",
         ):
             value = getattr(self, knob)
             if value is not None and value < 1:
                 raise ValueError(f"{knob} must be >= 1, got {value}")
-        if self.client_window_min < 1:
-            raise ValueError("client_window_min must be >= 1")
-        if self.client_window_additive < 1:
-            raise ValueError("client_window_additive must be >= 1")
-        if not 0.0 < self.client_window_decrease < 1.0:
-            raise ValueError("client_window_decrease must be in (0, 1)")
-        if self.retransmit_backoff_factor < 1.0:
-            raise ValueError("retransmit_backoff_factor must be >= 1.0")
-        if not 0.0 <= self.retransmit_jitter <= 1.0:
-            raise ValueError("retransmit_jitter must be in [0, 1]")
+        if self.batch_queue_capacity is not None and not self.batch_threads:
+            # the 0B worker batches straight off its own queue, so client
+            # requests never pass the batch queue the bound would apply to
+            raise ValueError("batch_queue_capacity needs batch_threads >= 1")
 
     # ------------------------------------------------------------------
     @property

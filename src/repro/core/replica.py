@@ -71,6 +71,7 @@ from repro.core.dedup import RequestKeySet
 from repro.crypto.hashing import digest_bytes, digest_cost
 from repro.engines import ENGINES
 from repro.net.message import Message
+from repro.sim.clock import millis
 from repro.sim.events import TIMEOUT, SimEvent, Timer
 from repro.sim.process import Continuation
 from repro.sim.queues import SimPriorityQueue, SimQueue
@@ -81,6 +82,17 @@ from repro.storage.checkpoints import CheckpointStore
 from repro.storage.memstore import InMemoryKVStore
 from repro.storage.sqlstore import SqliteKVStore
 from repro.workloads.transactions import OpType
+
+#: how long a batch-thread waits for its batch to fill before proposing a
+#: partial one.  Bounds latency at low load; under load batches always
+#: fill.  (Without it, medium loads degenerate into near-empty batches and
+#: consensus overhead explodes.)
+BATCH_FILL_TIMEOUT = millis(2)
+#: how often an RCC lane leader runs its balance pass, committing
+#: null-batch skip certificates for lanes that fell behind the merge
+RCC_BALANCE_INTERVAL = millis(2)
+#: message objects each replica's buffer pool keeps for reuse (§4.8)
+BUFFER_POOL_CAPACITY = 4_096
 
 
 class Replica:
@@ -125,37 +137,15 @@ class Replica:
             policy=policy,
             on_shed=self._on_batch_shed,
         )
-        # protocol messages outrank client requests so that, in the 0B
-        # degenerate pipeline where the worker also batches, a backlog of
-        # unverified client requests cannot starve quorum progress; the
-        # capacity bound applies to client requests only
-        self.work_queue = SimPriorityQueue(
-            self.sim,
-            f"{replica_id}.work-q",
-            capacity=config.work_queue_capacity,
-            policy=policy,
-            on_shed=self._on_batch_shed,
-        )
-        self.checkpoint_queue = SimQueue(
-            self.sim,
-            f"{replica_id}.ckpt-q",
-            capacity=config.checkpoint_queue_capacity,
-            policy=policy,
-            on_shed=self._on_message_shed,
-        )
-        # output queues are fed by non-process callers (timers, NACK
-        # paths), which cannot park — so the "block" policy leaves them
-        # unbounded and back-pressure applies upstream instead
+        # the protocol queues are unbounded: shedding a quorum vote would
+        # break liveness.  Protocol messages outrank client requests so
+        # that, in the 0B degenerate pipeline where the worker also
+        # batches, a backlog of unverified client requests cannot starve
+        # quorum progress.
+        self.work_queue = SimPriorityQueue(self.sim, f"{replica_id}.work-q")
+        self.checkpoint_queue = SimQueue(self.sim, f"{replica_id}.ckpt-q")
         self.output_queues = [
-            SimQueue(
-                self.sim,
-                f"{replica_id}.out-q{i}",
-                capacity=(
-                    config.output_queue_capacity if policy != "block" else None
-                ),
-                policy=policy,
-                on_shed=self._on_message_shed,
-            )
+            SimQueue(self.sim, f"{replica_id}.out-q{i}")
             for i in range(config.output_threads)
         ]
         #: destination -> its output queue (a pure function of the name)
@@ -195,11 +185,11 @@ class Replica:
 
         # -- buffer pools (§4.8): message objects and transaction objects
         self.message_pool = BufferPool(
-            object, config.buffer_pool_capacity, enabled=config.buffer_pool
+            object, BUFFER_POOL_CAPACITY, enabled=config.buffer_pool
         )
         self.txn_pool = BufferPool(
             object,
-            min(config.buffer_pool_capacity * max(1, config.batch_size), 500_000),
+            min(BUFFER_POOL_CAPACITY * max(1, config.batch_size), 500_000),
             enabled=config.buffer_pool,
         )
 
@@ -327,27 +317,19 @@ class Replica:
         self.flow.rejected_requests += 1
         self._send_busy_nack(message, reason)
 
-    def _on_batch_shed(self, item) -> None:
-        """shed_oldest evicted ``item`` from the batch or work queue."""
-        if not isinstance(item, ClientRequest):
-            self.flow.shed_messages += 1
-            return
+    def _on_batch_shed(self, item: ClientRequest) -> None:
+        """shed_oldest evicted a client request from the batch queue."""
         sender, request_id = item.sender, item.request_id
         key = (sender, request_id)
         if self._sequenced_keys.contains(sender, request_id):
             # must be unreachable: requests gain a sequence number only
-            # after leaving these queues — recorded for the oracle
+            # after leaving this queue — recorded for the oracle
             self.flow.shed_sequenced.append(key)
         self.flow.shed_requests += 1
         self.flow.shed_keys.append(key)
         self._seen_requests.discard(sender, request_id)
         self.admission.release_client(sender)
         self._send_busy_nack(item, "shed")
-
-    def _on_message_shed(self, item) -> None:
-        """shed_oldest evicted a non-request item (checkpoint vote or an
-        outbound (dst, message) pair) — counted, nothing to NACK."""
-        self.flow.shed_messages += 1
 
     def _on_inbox_shed(self, item) -> None:
         """shed_oldest evicted an undispatched inbound message."""
@@ -393,7 +375,7 @@ class Replica:
             txns = len(first.txns)
             # fill the batch; if arrivals stall, the fill deadline bounds
             # how long early requests wait for stragglers
-            deadline = self.sim.now + self.config.batch_fill_timeout
+            deadline = self.sim.now + BATCH_FILL_TIMEOUT
             while txns < batch_size:
                 if len(batch_queue) > 0:
                     item = batch_queue.get_nowait()
@@ -418,15 +400,9 @@ class Replica:
             yield self.cpu.run(
                 client_scheme.verify_cost(request.wire_bytes()), thread_id
             )
-            if config.real_auth_tokens:
-                ok, _ = client_scheme.check(
-                    request.signable_bytes(), request.auth, request.sender,
-                    self.replica_id,
-                )
-                if not ok:
-                    self.invalid_messages += 1
-                    self.admission.release_client(request.sender)
-                    continue
+            if not self._authentic(request, client_scheme):
+                self.admission.release_client(request.sender)
+                continue
             valid_requests.append(request)
         if not valid_requests:
             return
@@ -546,7 +522,7 @@ class Replica:
                     flush_armed = True
                     Timer(
                         self.sim,
-                        self.config.batch_fill_timeout,
+                        BATCH_FILL_TIMEOUT,
                         self.work_queue.put_nowait,
                         Replica._FLUSH_BATCH,
                         0,
@@ -565,14 +541,8 @@ class Replica:
         if message.kind == "commit-certificate":
             scheme = self.system.client_scheme
         yield self.cpu.run(scheme.verify_cost(message.wire_bytes()), thread_id)
-        if config.real_auth_tokens:
-            ok, _ = scheme.check(
-                message.signable_bytes(), message.auth, message.sender,
-                self.replica_id,
-            )
-            if not ok:
-                self.invalid_messages += 1
-                return
+        if not self._authentic(message, scheme):
+            return
         yield self.cpu.run(costs.worker_message_ns, thread_id)
         # state transfer is host-level, not engine-level
         if message.kind == "state-request":
@@ -603,6 +573,20 @@ class Replica:
             self.invalid_messages += 1
             return
         yield from self._dispatch(actions, thread_id)
+
+    def _authentic(self, message: Message, scheme) -> bool:
+        """Check ``message``'s token against ``scheme`` (when real tokens
+        are on); a forgery is counted and the caller skips the message.
+        The verify cost is the caller's to charge, so this never yields."""
+        if not self.config.real_auth_tokens:
+            return True
+        ok, _ = scheme.check(
+            message.signable_bytes(), message.auth, message.sender,
+            self.replica_id,
+        )
+        if not ok:
+            self.invalid_messages += 1
+        return ok
 
     # ==================================================================
     # action dispatch
@@ -667,10 +651,7 @@ class Replica:
         if queue is None:
             index = zlib.crc32(dst.encode("utf-8")) % len(self.output_queues)
             queue = self._output_queue_for[dst] = self.output_queues[index]
-        if queue.capacity is None:
-            queue.put_nowait((dst, message))
-        elif not queue.offer((dst, message)):
-            self.flow.shed_messages += 1
+        queue.put_nowait((dst, message))
 
     # ==================================================================
     # multi-primary (RCC) lane balancing
@@ -684,9 +665,8 @@ class Replica:
         from repro.sim.events import Timeout
 
         thread_id = f"{self.replica_id}.worker"
-        interval = max(1, self.config.rcc_balance_interval)
         while True:
-            yield Timeout(interval)
+            yield Timeout(RCC_BALANCE_INTERVAL)
             if self._recovering:
                 continue
             actions = self.engine.balance_actions()
@@ -920,19 +900,7 @@ class Replica:
             # byzantine replica's power includes lying to clients, and
             # policies like ConflictingVoter corrupt response digests to
             # deny Zyzzyva's all-n fast path
-            if self.adversary is not None:
-                for transformed in self.adversary.transform(
-                    self, [SendTo(group, message)]
-                ):
-                    if isinstance(transformed, SendTo):
-                        yield from self._sign_and_queue(
-                            transformed.message, [transformed.dst], thread_id,
-                            scheme=self.system.client_scheme,
-                        )
-                continue
-            yield from self._sign_and_queue(
-                message, [group], thread_id, scheme=self.system.client_scheme
-            )
+            yield from self._dispatch([SendTo(group, message)], thread_id)
 
     def _emit_checkpoint(self, sequence: int, thread_id: str):
         config = self.config
@@ -1099,14 +1067,8 @@ class Replica:
         while True:
             message = yield self.checkpoint_queue.get()
             yield self.cpu.run(scheme.verify_cost(message.wire_bytes()), thread_id)
-            if config.real_auth_tokens:
-                ok, _ = scheme.check(
-                    message.signable_bytes(), message.auth, message.sender,
-                    self.replica_id,
-                )
-                if not ok:
-                    self.invalid_messages += 1
-                    continue
+            if not self._authentic(message, scheme):
+                continue
             yield self.cpu.run(costs.checkpoint_vote_ns, thread_id)
             self._record_checkpoint_vote(
                 message.sequence, message.state_digest, message.sender
@@ -1161,14 +1123,8 @@ class Replica:
             yield self.cpu.run(
                 client_scheme.verify_cost(request.wire_bytes()), thread_id
             )
-            if config.real_auth_tokens:
-                ok, _ = client_scheme.check(
-                    request.signable_bytes(), request.auth, request.sender,
-                    self.replica_id,
-                )
-                if not ok:
-                    self.invalid_messages += 1
-                    continue
+            if not self._authentic(request, client_scheme):
+                continue
             ops = 0
             if config.execution_enabled:
                 cost = 0
@@ -1258,41 +1214,42 @@ class _InputStage:
             if not replica.config.consensus_enabled:
                 # Fig. 7 upper-bound mode: requests go straight to the
                 # independent responder threads
-                self._put(replica.batch_queue, self._after_responder_put, message)
+                self._put_batch(self._after_responder_put)
             elif replica._admit_client_request(message):
                 self._sequence_cost._bind(self.sim, self._sequenced)
             else:
                 self._next_message()
-        elif kind == "checkpoint":
-            self._put(
-                replica.checkpoint_queue, self._after_checkpoint_put, message
-            )
         else:
-            # protocol messages ride at priority 0, which the work
-            # queue's capacity bound never applies to
-            replica.work_queue.put_nowait(message)
+            # protocol queues are unbounded; protocol messages ride at
+            # priority 0 in the work queue
+            if kind == "checkpoint":
+                replica.checkpoint_queue.put_nowait(message)
+            else:
+                replica.work_queue.put_nowait(message)
             self._next_message()
 
     def _on_sequenced(self, _value) -> None:
         replica = self.replica
         if replica.config.batch_threads:
-            self._put(replica.batch_queue, self._after_request_put, self._message)
+            self._put_batch(self._after_request_put)
         else:
             # 0B: the worker batches; client requests ride at low priority
-            self._put(replica.work_queue, self._after_request_put, self._message, 1)
+            replica.work_queue.put_nowait(self._message, 1)
+            self._next_message()
 
-    def _put(self, queue, then, *args) -> None:
-        """Enqueue under the queue's policy — ``args`` is ``(item,)``, or
-        ``(item, priority)`` for the work queue — then call
+    def _put_batch(self, then) -> None:
+        """Put the message on the batch queue under its policy, then call
         ``then(accepted)``: at once, or once a ``block`` put resolves."""
+        queue = self.replica.batch_queue
+        message = self._message
         if queue.capacity is None:
-            queue.put_nowait(*args)
+            queue.put_nowait(message)
             then(True)
         elif queue.policy == "block":
             self._then = then
-            queue.put(*args)._bind(self.sim, self._put_resolved)
+            queue.put(message)._bind(self.sim, self._put_resolved)
         else:
-            then(queue.offer(*args))
+            then(queue.offer(message))
 
     def _on_put_resolved(self, accepted: bool) -> None:
         then, self._then = self._then, None
@@ -1306,11 +1263,6 @@ class _InputStage:
     def _after_request_put(self, accepted: bool) -> None:
         if not accepted:
             self.replica._reject_request(self._message, "queue")
-        self._next_message()
-
-    def _after_checkpoint_put(self, accepted: bool) -> None:
-        if not accepted:
-            self.replica.flow.shed_messages += 1
         self._next_message()
 
 

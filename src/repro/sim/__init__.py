@@ -44,7 +44,7 @@ from repro.sim.metrics import (
 )
 from repro.sim.process import Continuation, Process
 from repro.sim.queues import SimQueue
-from repro.sim.resources import CpuScheduler, Resource
+from repro.sim.resources import CpuScheduler
 from repro.sim.rng import DeterministicRNG
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "Process",
-    "Resource",
     "SimEvent",
     "SimQueue",
     "Simulator",

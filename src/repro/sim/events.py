@@ -11,7 +11,7 @@ Supported effects:
   the result of the ``yield``.
 - ``SimQueue.get()`` / bounded ``SimQueue.put(item)`` — see
   :mod:`repro.sim.queues`.
-- ``Resource.acquire()`` — see :mod:`repro.sim.resources`.
+- ``CpuScheduler.run(cost, thread_id)`` — see :mod:`repro.sim.resources`.
 - ``Process`` — join: resume when the target process finishes.
 """
 
@@ -27,9 +27,8 @@ class _TimeoutSentinel:
         return "<TIMEOUT>"
 
 
-#: Sentinel value delivered to waiters when a :class:`SimEvent` fires due to
-#: an attached timer rather than a real completion (see
-#: :meth:`SimEvent.trigger_after`).
+#: Sentinel value a timed wait resumes with when its timer fires before a
+#: real completion (see ``SimQueue.get(timeout=...)``).
 TIMEOUT = _TimeoutSentinel()
 
 
@@ -56,12 +55,11 @@ class SimEvent:
     happens first wins, the loser is a no-op).
     """
 
-    __slots__ = ("sim", "_waiters", "_callbacks", "triggered", "value")
+    __slots__ = ("sim", "_waiters", "triggered", "value")
 
     def __init__(self, sim):
         self.sim = sim
         self._waiters: List[Any] = []
-        self._callbacks: List[Any] = []
         self.triggered = False
         self.value: Any = None
 
@@ -73,25 +71,9 @@ class SimEvent:
         self.triggered = True
         self.value = value
         waiters, self._waiters = self._waiters, []
-        callbacks, self._callbacks = self._callbacks, []
         for process in waiters:
             self.sim.schedule(0, process.resume, value)
-        for fn in callbacks:
-            self.sim.schedule(0, fn, value)
         return True
-
-    def trigger_after(self, delay: int, value: Any = TIMEOUT) -> None:
-        """Arrange for the event to fire with ``value`` after ``delay`` ticks
-        unless something else triggers it first."""
-        self.sim.schedule(delay, self.trigger, value)
-
-    def on_trigger(self, fn) -> None:
-        """Register a callback invoked with the trigger value (callback-style
-        alternative to yielding on the event)."""
-        if self.triggered:
-            self.sim.schedule(0, fn, self.value)
-        else:
-            self._callbacks.append(fn)
 
     def _bind(self, sim, process) -> None:
         if self.triggered:

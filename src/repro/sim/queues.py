@@ -82,27 +82,26 @@ class _QueuePut:
     item was accepted, False if the ``reject`` policy refused it.  Only
     the ``block`` policy ever parks the producer."""
 
-    __slots__ = ("queue", "item", "priority")
+    __slots__ = ("queue", "item")
 
-    def __init__(self, queue: "SimQueue", item: Any, priority: Optional[int] = None):
+    def __init__(self, queue: "SimQueue", item: Any):
         self.queue = queue
         self.item = item
-        self.priority = priority
 
     def _bind(self, sim, process) -> None:
         queue = self.queue
-        if not queue._full_for(self.priority):
-            queue._enqueue_put(sim, self.item, self.priority)
+        if not queue._full():
+            queue._enqueue(sim, self.item)
             sim.schedule(0, process.resume, True)
         elif queue.policy == "shed_oldest":
             queue._shed()
-            queue._enqueue_put(sim, self.item, self.priority)
+            queue._enqueue(sim, self.item)
             sim.schedule(0, process.resume, True)
         elif queue.policy == "reject":
             queue.rejected_total += 1
             sim.schedule(0, process.resume, False)
         else:
-            queue._putters.append((process, self.item, self.priority))
+            queue._putters.append((process, self.item))
 
 
 class SimQueue:
@@ -172,13 +171,13 @@ class SimQueue:
     # ------------------------------------------------------------------
     def put_nowait(self, item: Any) -> None:
         """Enqueue without blocking (raises if a bounded queue is full)."""
-        if self._full_for(None):
+        if self._full():
             raise OverflowError(f"queue {self.name!r} full (capacity={self.capacity})")
         self._enqueue(self.sim, item)
 
     def offer(self, item: Any) -> bool:
         """Policy-aware non-blocking enqueue; True iff the item got in."""
-        if not self._full_for(None):
+        if not self._full():
             self._enqueue(self.sim, item)
             return True
         if self.policy == "shed_oldest":
@@ -194,26 +193,17 @@ class SimQueue:
         """Effect for process-context puts (back-pressure under ``block``)."""
         return _QueuePut(self, item)
 
-    def _full_for(self, priority: Optional[int]) -> bool:
-        """Whether the capacity bound applies to an arriving item."""
+    def _full(self) -> bool:
+        """Whether the queue is at its capacity bound."""
         return self.capacity is not None and len(self._items) >= self.capacity
 
-    def _enqueue_put(self, sim, item: Any, priority: Optional[int]) -> None:
-        """Admit an item from the put/offer path (priority-queue override
-        routes the priority through; the base FIFO ignores it)."""
-        self._enqueue(sim, item)
-
     def _shed(self) -> Any:
-        """Evict the oldest (lowest-value) queued item to make room."""
-        victim = self._evict()
+        """Evict the oldest queued item to make room."""
+        victim, _enqueued_at = self._items.popleft()
         self.shed_total += 1
         if self.on_shed is not None:
             self.on_shed(victim)
         return victim
-
-    def _evict(self) -> Any:
-        item, _enqueued_at = self._items.popleft()
-        return item
 
     def _enqueue(self, sim, item: Any) -> None:
         self.enqueued_total += 1
@@ -235,9 +225,9 @@ class SimQueue:
         return None
 
     def _wake_putters(self, sim) -> None:
-        while self._putters and not self._full_for(self._putters[0][2]):
-            process, item, priority = self._putters.popleft()
-            self._enqueue_put(sim, item, priority)
+        while self._putters and not self._full():
+            process, item = self._putters.popleft()
+            self._enqueue(sim, item)
             sim.schedule(0, process.resume, True)
 
     # ------------------------------------------------------------------
@@ -308,97 +298,41 @@ class SimQueue:
 
 
 class SimPriorityQueue(SimQueue):
-    """A SimQueue that serves lower-priority-number items first.
+    """An unbounded SimQueue that serves lower-priority-number items first.
 
     Ties preserve insertion order, so same-priority traffic stays FIFO.
-    Used by the degenerate 0B pipeline, where one worker both batches
-    client requests and votes: protocol messages must not drown behind a
-    deep backlog of unverified client requests, or the replica never
-    commits anything.
-
-    A capacity bound applies only to *low-priority* items (priority > 0 —
-    client requests in the 0B pipeline): protocol messages are always
-    admitted, because shedding a commit vote would break consensus
-    liveness while shedding a client request merely defers that client.
-    ``_shed`` correspondingly evicts the oldest item of the worst
-    (highest-number) priority class.
+    Used for the worker's queue: in the degenerate 0B pipeline one worker
+    both batches client requests (priority 1) and votes (priority 0), and
+    protocol messages must not drown behind a deep backlog of unverified
+    client requests, or the replica never commits anything.  It has no
+    capacity: shedding a commit vote would break consensus liveness.
     """
 
-    __slots__ = ("_counter", "_low_count")
+    __slots__ = ("_counter",)
 
-    def __init__(
-        self,
-        sim,
-        name: str = "pqueue",
-        capacity: Optional[int] = None,
-        policy: str = "block",
-        on_shed: Optional[Callable[[Any], None]] = None,
-    ):
-        super().__init__(sim, name, capacity, policy, on_shed)
+    def __init__(self, sim, name: str = "pqueue"):
+        super().__init__(sim, name)
         self._items = []  # heap of (priority, tie, item, enqueued_at)
         self._counter = 0
-        self._low_count = 0
 
     def put_nowait(self, item: Any, priority: int = 0) -> None:
-        if self._full_for(priority):
-            raise OverflowError(f"queue {self.name!r} full (capacity={self.capacity})")
-        self._admit(item, priority)
+        self._enqueue(self.sim, item, priority)
 
-    def offer(self, item: Any, priority: int = 0) -> bool:
-        if not self._full_for(priority):
-            self._admit(item, priority)
-            return True
-        if self.policy == "shed_oldest":
-            self._shed()
-            self._admit(item, priority)
-            return True
-        if self.policy == "reject":
-            self.rejected_total += 1
-            return False
-        raise OverflowError(f"queue {self.name!r} full (capacity={self.capacity})")
-
-    def put(self, item: Any, priority: int = 0) -> _QueuePut:
-        return _QueuePut(self, item, priority)
-
-    def _full_for(self, priority: Optional[int]) -> bool:
-        if self.capacity is None:
-            return False
-        if not priority:  # protocol traffic is never bounded
-            return False
-        return self._low_count >= self.capacity
-
-    def _enqueue_put(self, sim, item: Any, priority: Optional[int]) -> None:
-        self._admit(item, priority or 0)
-
-    def _admit(self, item: Any, priority: int) -> None:
+    def _enqueue(self, sim, item: Any, priority: int = 0) -> None:
+        # every producer path (put_nowait, and the inherited put/offer)
+        # lands here, so the heap order holds whichever one is used
         self.enqueued_total += 1
-        getter = self._pop_active_getter()
+        getter = self._pop_active_getter() if self._getters else None
         if getter is not None:
             self._record_dequeue(0)
-            self.sim.schedule(0, getter.process.resume, item)
+            sim.schedule(0, getter.process.resume, item)
             return
-        if priority > 0:
-            self._low_count += 1
         self._counter += 1
-        heapq.heappush(self._items, (priority, self._counter, item, self.sim.now))
+        heapq.heappush(self._items, (priority, self._counter, item, sim.now))
         if len(self._items) > self.max_depth:
             self.max_depth = len(self._items)
 
-    def _evict(self) -> Any:
-        worst = max(entry[0] for entry in self._items)
-        index = min(
-            (i for i, entry in enumerate(self._items) if entry[0] == worst),
-            key=lambda i: self._items[i][1],
-        )
-        priority, _tie, item, _enqueued_at = self._items.pop(index)
-        heapq.heapify(self._items)
-        if priority > 0:
-            self._low_count -= 1
-        return item
-
     def _take(self, sim) -> Any:
-        priority, _tie, item, enqueued_at = heapq.heappop(self._items)
-        if priority > 0:
-            self._low_count -= 1
+        _priority, _tie, item, enqueued_at = heapq.heappop(self._items)
         self._record_dequeue(sim.now - enqueued_at)
         return item

@@ -1,4 +1,4 @@
-"""Shared resources: counting semaphores and the simulated CPU.
+"""The simulated CPU.
 
 :class:`CpuScheduler` is central to the reproduction.  The paper deploys
 replicas on 1/2/4/8-core machines and studies how pipeline threads saturate
@@ -13,57 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Deque, Dict, Optional
-
-
-class _Acquire:
-    """Effect: wait for one unit of the resource."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        self.resource = resource
-
-    def _bind(self, sim, process) -> None:
-        resource = self.resource
-        if resource.in_use < resource.capacity:
-            resource.in_use += 1
-            sim.schedule(0, process.resume, None)
-        else:
-            resource._waiters.append(process)
-
-
-class Resource:
-    """A counting semaphore with FIFO granting.
-
-    Used for NIC send slots and any other capacity-limited facility.
-    """
-
-    __slots__ = ("sim", "name", "capacity", "in_use", "_waiters")
-
-    def __init__(self, sim, capacity: int, name: str = "resource"):
-        if capacity < 1:
-            raise ValueError(f"resource capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque = deque()
-
-    def acquire(self) -> _Acquire:
-        return _Acquire(self)
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise RuntimeError(f"release of idle resource {self.name!r}")
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            self.sim.schedule(0, waiter.resume, None)
-        else:
-            self.in_use -= 1
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
 
 
 class _CpuRun:

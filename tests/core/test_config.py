@@ -57,6 +57,15 @@ def test_invalid_configs_rejected(overrides):
         SystemConfig(**overrides)
 
 
+def test_batch_queue_bound_needs_batch_threads():
+    # 0B: the worker batches straight off its own queue, so a batch-queue
+    # bound would never apply; refuse it instead of ignoring it
+    with pytest.raises(ValueError, match="batch_threads"):
+        SystemConfig(batch_threads=0, batch_queue_capacity=4)
+    assert SystemConfig(batch_threads=1, batch_queue_capacity=4).batch_threads == 1
+    assert SystemConfig(batch_threads=0).batch_queue_capacity is None
+
+
 def test_with_options_derives_variant():
     base = SystemConfig()
     variant = base.with_options(num_replicas=32, batch_size=500)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.consensus.messages import ClientRequest
 from repro.core import ResilientDBSystem, SystemConfig
+from repro.core.clientmgr import PendingRequest
 from repro.sim.clock import millis
 from repro.workloads import Operation, OpType, Transaction
 
@@ -60,8 +61,16 @@ def test_request_records_have_no_instance_dict(rcc_system):
     for name, record in records.items():
         assert type(record).__name__ == name
         assert not hasattr(record, "__dict__"), name
-    # PBFT-style clients never create the speculative-path containers
-    assert pending.spec_matches is None and pending.local_commits is None
+    # PBFT-style clients never create the speculative-path container
+    assert pending.spec_matches is None
+
+
+def test_request_records_carry_no_certificate_state():
+    # Zyzzyva's commit-certificate path keeps its own bookkeeping, so
+    # PBFT, PoE and RCC requests do not pay for it
+    slots = PendingRequest.__slots__
+    assert not [slot for slot in slots if "certificate" in slot], slots
+    assert "local_commits" not in slots
 
 
 def _traced_growth(action) -> int:

@@ -53,6 +53,30 @@ def test_one_crash_forces_slow_path(zyz_config):
     assert result.latency_mean_s >= 0.020
 
 
+def test_certificate_bookkeeping_ends_with_its_request(zyz_config):
+    """With a crashed backup every request takes the certificate path;
+    its slow-path entry is dropped when the request completes, so only
+    requests still in flight hold one."""
+    system = ResilientDBSystem(zyz_config)
+    system.crash_replicas(1)
+    result = system.run()
+    assert result.slow_path_completions > 100
+    for group in system.client_groups:
+        assert set(group._certified) <= set(group.pending)
+        waiting = {
+            request_id
+            for requests in group._awaiting_commit.values()
+            for request_id in requests
+        }
+        assert waiting == set(group._certified)
+        for sequence, requests in group._awaiting_commit.items():
+            assert requests, sequence
+            assert all(
+                group._certified[request_id] == sequence
+                for request_id in requests
+            )
+
+
 def test_crash_collapse_vs_healthy(zyz_config):
     healthy = ResilientDBSystem(zyz_config).run()
     crashed_system = ResilientDBSystem(zyz_config)

@@ -47,15 +47,21 @@ def test_mixed_campaign_includes_an_overload_slice():
 
 
 def test_overload_knobs_never_bound_protocol_queues():
-    """Lossy policies may only apply to the batch queue + admission;
-    work/checkpoint/output/inbox capacities must stay unset."""
+    """Lossy policies may only apply to the batch queue + admission: in
+    every overload scenario's deployment, each replica's work,
+    checkpoint and output queues and its inbox stay unbounded."""
     for index in range(20):
         scenario = generate_overload_scenario(2, index)
-        config = scenario.to_config()
-        assert config.work_queue_capacity is None
-        assert config.checkpoint_queue_capacity is None
-        assert config.output_queue_capacity is None
-        assert config.inbox_capacity is None
+        system = ResilientDBSystem(scenario.to_config())
+        for replica in system.replicas.values():
+            queues = [
+                replica.work_queue,
+                replica.checkpoint_queue,
+                replica.endpoint.inbox,
+                *replica.output_queues,
+            ]
+            for queue in queues:
+                assert queue.capacity is None, queue.name
     rng = DeterministicRNG(4).fork("knobs")
     for _ in range(20):
         knobs = _overload_knobs(rng, batch_size=8)

@@ -46,20 +46,6 @@ def test_waiting_on_triggered_event_returns_immediately():
     assert got == ["early"]
 
 
-def test_trigger_after_delivers_timeout_sentinel():
-    sim = Simulator()
-    event = SimEvent(sim)
-    got = []
-
-    def waiter():
-        got.append((yield event))
-
-    sim.spawn(waiter())
-    event.trigger_after(micros(50))
-    sim.run()
-    assert got == [TIMEOUT]
-
-
 def test_response_beats_timer():
     """Zyzzyva's client pattern: response-vs-timeout race, first one wins."""
     sim = Simulator()
@@ -70,20 +56,10 @@ def test_response_beats_timer():
         got.append((yield event))
 
     sim.spawn(waiter())
-    event.trigger_after(micros(100))
+    sim.schedule(micros(100), event.trigger, TIMEOUT)
     sim.schedule(micros(40), event.trigger, "response")
     sim.run()
     assert got == ["response"]
-
-
-def test_on_trigger_callback():
-    sim = Simulator()
-    event = SimEvent(sim)
-    got = []
-    event.on_trigger(got.append)
-    event.trigger(7)
-    sim.run()
-    assert got == [7]
 
 
 # ----------------------------------------------------------------------

@@ -157,65 +157,41 @@ def test_multiple_blocked_producers_wake_in_fifo_order():
 
 
 # ----------------------------------------------------------------------
-# priority queue: the bound applies to low-priority traffic only
+# priority queue: unbounded, heap order on every producer path
 # ----------------------------------------------------------------------
 def test_priority_queue_never_bounds_protocol_traffic():
     sim = Simulator()
-    queue = SimPriorityQueue(sim, "pq", capacity=2, policy="reject")
-    # low-priority (client) items fill the capacity...
-    assert queue.offer("c1", priority=1) is True
-    assert queue.offer("c2", priority=1) is True
-    assert queue.offer("c3", priority=1) is False
-    # ...but protocol messages (priority 0) are always admitted
-    for i in range(5):
-        assert queue.offer(f"m{i}", priority=0) is True
-    assert queue.depth == 7
+    queue = SimPriorityQueue(sim, "pq")
+    assert queue.capacity is None
+    with pytest.raises(TypeError):
+        SimPriorityQueue(sim, "pq", capacity=2)
+    for i in range(50):
+        queue.put_nowait(f"c{i}", priority=1)
+        queue.put_nowait(f"m{i}", priority=0)
+    assert queue.depth == 100
+    drained = [queue.get_nowait() for _ in range(100)]
+    assert drained == [f"m{i}" for i in range(50)] + [f"c{i}" for i in range(50)]
 
 
-def test_priority_queue_sheds_oldest_of_worst_class():
+def test_priority_queue_inherited_producers_keep_heap_order():
     sim = Simulator()
-    victims = []
-    queue = SimPriorityQueue(
-        sim, "pq", capacity=2, policy="shed_oldest", on_shed=victims.append
-    )
-    queue.offer("m0", priority=0)
-    queue.offer("c1", priority=1)
-    queue.offer("c2", priority=1)
-    assert queue.offer("c3", priority=1) is True
-    # the oldest *low-priority* item went, never the protocol message
-    assert victims == ["c1"]
-    drained = [queue.get_nowait() for _ in range(queue.depth)]
-    assert drained == ["m0", "c2", "c3"]
-
-
-def test_priority_queue_block_put_parks_low_priority_only():
-    sim = Simulator()
-    queue = SimPriorityQueue(sim, "pq", capacity=1, policy="block")
+    queue = SimPriorityQueue(sim, "pq")
     queue.put_nowait("c1", priority=1)
+    queue.put_nowait("c2", priority=1)
+    # offer() and the put() effect come from SimQueue; both admit at the
+    # default priority 0, ahead of the queued client requests
+    assert queue.offer("m1") is True
     log = []
 
-    def low_producer():
-        accepted = yield queue.put("c2", priority=1)
-        log.append(("low", accepted, sim.now))
+    def producer():
+        accepted = yield queue.put("m2")
+        log.append(accepted)
 
-    def high_producer():
-        accepted = yield queue.put("m1", priority=0)
-        log.append(("high", accepted, sim.now))
-
-    def consumer():
-        yield 7
-        queue.get_nowait()  # pops m1 (priority 0): low capacity still full
-        yield 7
-        queue.get_nowait()  # pops c1: a low-priority slot frees
-
-    sim.spawn(low_producer())
-    sim.spawn(high_producer())
-    sim.spawn(consumer())
+    sim.spawn(producer())
     sim.run()
-    # the protocol put resolved immediately; the client put waited until a
-    # low-priority slot (not just any slot) freed up
-    assert ("high", True, 0) in log
-    assert ("low", True, 14) in log
+    assert log == [True]
+    drained = [queue.get_nowait() for _ in range(queue.depth)]
+    assert drained == ["m1", "m2", "c1", "c2"]
 
 
 def test_shed_and_reject_counters_in_stats():

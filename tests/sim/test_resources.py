@@ -1,38 +1,8 @@
-"""Tests for Resource semaphores and the CPU scheduler."""
+"""Tests for the simulated CPU scheduler."""
 
 import pytest
 
-from repro.sim import CpuScheduler, Resource, Simulator, Timeout, micros
-
-
-def test_resource_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_serialises_holders():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1)
-    grants = []
-
-    def holder(name, hold):
-        yield resource.acquire()
-        grants.append((sim.now, name))
-        yield Timeout(hold)
-        resource.release()
-
-    sim.spawn(holder("a", 100))
-    sim.spawn(holder("b", 100))
-    sim.run()
-    assert grants == [(0, "a"), (100, "b")]
-
-
-def test_resource_release_without_acquire_raises():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1)
-    with pytest.raises(RuntimeError):
-        resource.release()
+from repro.sim import CpuScheduler, Simulator, Timeout, micros
 
 
 def test_cpu_single_core_serialises_work():

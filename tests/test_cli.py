@@ -126,6 +126,17 @@ def test_run_reports_an_invalid_config_without_a_traceback(capsys):
     assert "Traceback" not in err
 
 
+def test_run_rejects_a_batch_queue_bound_without_batch_threads(capsys):
+    args = FAST_RUN + [
+        "--batch-threads", "0", "--queue-policy", "reject",
+        "--batch-queue-capacity", "4",
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "batch_threads" in err
+    assert "Traceback" not in err
+
+
 def test_run_rejects_primaries_for_a_single_lane_engine(capsys):
     assert main(FAST_RUN + ["--protocol", "pbft", "--primaries", "2"]) == 2
     assert "one consensus lane" in capsys.readouterr().err
