@@ -137,18 +137,17 @@ class SystemConfig:
     state_transfer_retry: int = millis(50)
 
     # -- overload protection (repro.flow) ----------------------------------
-    #: back-pressure policy for the bounded queues (batch queue, inbox):
-    #: "block" parks the producer, "shed_oldest" evicts the oldest queued
-    #: item (NACKing shed client requests), "reject" refuses the new
-    #: arrival with a busy-nack
+    #: back-pressure policy for the bounded batch queue: "block" parks
+    #: the input thread, "shed_oldest" evicts the oldest queued request
+    #: with a busy-nack, "reject" refuses the new arrival with a busy-nack
     queue_policy: str = "block"
-    #: queue bounds; None leaves a queue unbounded (the default, matching
+    #: batch-queue bound; None leaves it unbounded (the default, matching
     #: the paper's deployment).  The batch queue holds client requests
-    #: only, so it needs batch-threads (0B batches in the worker).  The
-    #: protocol queues (work, checkpoint, output) are always unbounded:
-    #: shedding a quorum vote would break consensus liveness.
+    #: only, so it needs batch-threads (0B batches in the worker).  Every
+    #: other queue (inbox, work, checkpoint, output) is unbounded: they
+    #: carry protocol messages, and shedding a quorum vote would break
+    #: consensus liveness.
     batch_queue_capacity: Optional[int] = None
-    inbox_capacity: Optional[int] = None
     #: primary admission control: cap consensus instances proposed but not
     #: yet executed / requests admitted per client group; requests over a
     #: cap get a busy-nack instead of queueing.  None disables the cap.
@@ -243,7 +242,6 @@ class SystemConfig:
             )
         for knob in (
             "batch_queue_capacity",
-            "inbox_capacity",
             "admission_max_inflight",
             "admission_max_per_client",
             "client_window_initial",
@@ -255,6 +253,10 @@ class SystemConfig:
             # the 0B worker batches straight off its own queue, so client
             # requests never pass the batch queue the bound would apply to
             raise ValueError("batch_queue_capacity needs batch_threads >= 1")
+        if not self.consensus_enabled and not self.batch_threads:
+            # Fig. 7 upper-bound mode: the batch-threads are the responders,
+            # so with none of them nothing drains the batch queue
+            raise ValueError("consensus_enabled=False needs batch_threads >= 1")
 
     # ------------------------------------------------------------------
     @property

@@ -28,11 +28,10 @@ Each replica runs, as simulated threads competing for its CPU cores:
 
 The input and output threads are callback servers (:class:`_InputStage`,
 :class:`_OutputStage`) rather than generator processes: each binds the
-same effects in the same order — start hop, queue get, CPU charge,
-``block``-policy put — to :class:`~repro.sim.process.Continuation` steps,
-so the modelled history is that of a generator loop while the host skips
-a generator resume per step.  Their CPU thread ids stay ``rX.input-i`` and
-``rX.output-i``.
+same effects in the same order — start hop, queue get, CPU charge — to
+:class:`~repro.sim.process.Continuation` steps, so the modelled history is
+that of a generator loop while the host skips a generator resume per step.
+Their CPU thread ids stay ``rX.input-i`` and ``rX.output-i``.
 
 Setting ``batch_threads=0`` or ``execute_threads=0`` folds those stages
 into the worker thread — the degenerate pipelines of the Fig. 8/9 study.
@@ -129,12 +128,11 @@ class Replica:
         self._sequenced_keys = RequestKeySet()
 
         # -- queues between stages --------------------------------------
-        policy = config.queue_policy
         self.batch_queue = SimQueue(
             self.sim,
             f"{replica_id}.batch-q",
             capacity=config.batch_queue_capacity,
-            policy=policy,
+            policy=config.queue_policy,
             on_shed=self._on_batch_shed,
         )
         # the protocol queues are unbounded: shedding a quorum vote would
@@ -150,11 +148,6 @@ class Replica:
         ]
         #: destination -> its output queue (a pure function of the name)
         self._output_queue_for: Dict[str, SimQueue] = {}
-        if config.inbox_capacity is not None:
-            inbox = self.endpoint.inbox
-            inbox.capacity = config.inbox_capacity
-            inbox.policy = policy
-            inbox.on_shed = self._on_inbox_shed
 
         # -- ordered execution state (§4.6) ------------------------------
         self.exec_pending: Dict[int, ExecuteReady] = {}
@@ -185,10 +178,9 @@ class Replica:
 
         # -- buffer pools (§4.8): message objects and transaction objects
         self.message_pool = BufferPool(
-            object, BUFFER_POOL_CAPACITY, enabled=config.buffer_pool
+            BUFFER_POOL_CAPACITY, enabled=config.buffer_pool
         )
         self.txn_pool = BufferPool(
-            object,
             min(BUFFER_POOL_CAPACITY * max(1, config.batch_size), 500_000),
             enabled=config.buffer_pool,
         )
@@ -331,17 +323,6 @@ class Replica:
         self.admission.release_client(sender)
         self._send_busy_nack(item, "shed")
 
-    def _on_inbox_shed(self, item) -> None:
-        """shed_oldest evicted an undispatched inbound message."""
-        self.system.network.dropped_messages += 1
-        if isinstance(item, ClientRequest):
-            key = (item.sender, item.request_id)
-            self.flow.shed_requests += 1
-            self.flow.shed_keys.append(key)
-            self._send_busy_nack(item, "shed")
-        else:
-            self.flow.shed_messages += 1
-
     def _send_busy_nack(self, request: ClientRequest, reason: str) -> None:
         """Tell the client its request was turned away (unsigned — a NACK
         carries no result, only a congestion signal)."""
@@ -407,7 +388,7 @@ class Replica:
         if not valid_requests:
             return
         batch = RequestBatch(tuple(valid_requests))
-        _obj, alloc_cost = self.message_pool.acquire()
+        alloc_cost = self.message_pool.acquire_bulk(1)
         alloc_cost += self.txn_pool.acquire_bulk(batch.txn_count)
         op_count = sum(
             txn.op_count for request in valid_requests for txn in request.txns
@@ -826,7 +807,9 @@ class Replica:
         metrics = self.system.metrics
         metrics.counter("replica_txns_executed").increment(batch.txn_count)
         metrics.counter("replica_ops_executed").increment(ops_executed)
-        # transaction objects return to their pool once executed (§4.8)
+        # the batch's message and transaction objects return to their
+        # pools once executed (§4.8)
+        self.message_pool.release_bulk(1)
         self.txn_pool.release_bulk(batch.txn_count)
 
         if not batch.is_null:
@@ -1171,14 +1154,14 @@ class _InputStage:
     At the primary a client request is also admitted, charged the
     sequencing cost and queued for batching; protocol messages go to the
     worker's queue and checkpoint votes to the checkpoint-thread's.  A
-    bounded ``block`` queue parks the stage until the put resolves, and
+    full ``block`` batch queue parks the stage until the put resolves, and
     the inbox backs up behind it.
     """
 
     __slots__ = (
         "replica", "sim", "_receive", "_dispatch_cost", "_sequence_cost",
         "_received", "_dispatched", "_sequenced", "_put_resolved",
-        "_message", "_then",
+        "_message",
     )
 
     def __init__(self, replica: Replica, index: int):
@@ -1194,8 +1177,6 @@ class _InputStage:
         self._sequenced = Continuation(name, self._on_sequenced)
         self._put_resolved = Continuation(name, self._on_put_resolved)
         self._message = None
-        #: what to do with a parked put's accepted flag
-        self._then = None
         # the hop a spawned process takes before its first step
         self.sim.schedule(0, self._next_message)
 
@@ -1214,7 +1195,7 @@ class _InputStage:
             if not replica.config.consensus_enabled:
                 # Fig. 7 upper-bound mode: requests go straight to the
                 # independent responder threads
-                self._put_batch(self._after_responder_put)
+                self._put_batch()
             elif replica._admit_client_request(message):
                 self._sequence_cost._bind(self.sim, self._sequenced)
             else:
@@ -1231,38 +1212,29 @@ class _InputStage:
     def _on_sequenced(self, _value) -> None:
         replica = self.replica
         if replica.config.batch_threads:
-            self._put_batch(self._after_request_put)
+            self._put_batch()
         else:
             # 0B: the worker batches; client requests ride at low priority
             replica.work_queue.put_nowait(self._message, 1)
             self._next_message()
 
-    def _put_batch(self, then) -> None:
-        """Put the message on the batch queue under its policy, then call
-        ``then(accepted)``: at once, or once a ``block`` put resolves."""
-        queue = self.replica.batch_queue
-        message = self._message
-        if queue.capacity is None:
-            queue.put_nowait(message)
-            then(True)
-        elif queue.policy == "block":
-            self._then = then
-            queue.put(message)._bind(self.sim, self._put_resolved)
-        else:
-            then(queue.offer(message))
+    def _put_batch(self) -> None:
+        """Offer the message to the batch queue; go on at once unless a
+        full ``block`` queue parked the stage."""
+        accepted = self.replica.batch_queue.offer(
+            self._message, self._put_resolved
+        )
+        if accepted is not None:
+            self._on_put_resolved(accepted)
 
     def _on_put_resolved(self, accepted: bool) -> None:
-        then, self._then = self._then, None
-        then(accepted)
-
-    def _after_responder_put(self, accepted: bool) -> None:
         if not accepted:
-            self.replica._reject_request(self._message, "queue", admitted=False)
-        self._next_message()
-
-    def _after_request_put(self, accepted: bool) -> None:
-        if not accepted:
-            self.replica._reject_request(self._message, "queue")
+            replica = self.replica
+            # Fig. 7 upper-bound mode skips admission, so there is none to undo
+            replica._reject_request(
+                self._message, "queue",
+                admitted=replica.config.consensus_enabled,
+            )
         self._next_message()
 
 

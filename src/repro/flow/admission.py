@@ -102,7 +102,6 @@ class FlowStats:
     and checked by :func:`repro.flow.invariants.check_flow_invariants`."""
 
     shed_requests: int = 0
-    shed_messages: int = 0
     rejected_requests: int = 0
     nacks_sent: int = 0
     #: request keys evicted by shed_oldest (each must be NACKed or complete)

@@ -18,12 +18,6 @@ primary broadcasting large ``Pre-prepare`` messages is TX-bound, while a
 primary collecting 2f+1 ``Prepare``/``Commit`` messages from every backup
 is RX-bound.  The fault plan is consulted at send time (sender crash), at
 serialisation end (drops, partitions) and at RX end (receiver crash).
-
-A bounded inbox's policy applies at hand-off.  Under ``block``, a full
-inbox stalls the RX server: the message waits in the inbox's putter list
-(behind an :class:`_RxStall`), later arrivals wait in the RX backlog, and
-service resumes in order once the node's input threads free a slot.
-``reject`` and ``shed_oldest`` never stall; their losses count as drops.
 """
 
 from __future__ import annotations
@@ -37,38 +31,18 @@ from repro.net.topology import Topology
 from repro.sim.queues import SimQueue
 
 
-class _RxStall:
-    """Stands in for a parked producer when a ``block`` inbox is full: the
-    inbox resumes it after admitting the stalled message."""
-
-    __slots__ = ("endpoint",)
-
-    def __init__(self, endpoint: "Endpoint"):
-        self.endpoint = endpoint
-
-    def resume(self, _accepted: bool) -> None:
-        self.endpoint._rx_next()
-
-
 class Endpoint:
     """One network-attached node (replica or client group)."""
 
-    def __init__(self, network: "Network", name: str, nic_gbps: Optional[float]):
+    def __init__(self, network: "Network", name: str):
         self.network = network
         self.name = name
-        self.nic_gbps = nic_gbps  # None = topology default
         #: messages ready for the node's input threads
         self.inbox = SimQueue(network.sim, name=f"{name}.inbox")
         self._tx_busy = False
         self._tx_backlog: deque = deque()  # (dst, message, size)
         self._rx_busy = False
         self._rx_backlog: deque = deque()  # (message, size)
-
-    def _transmission_ns(self, size_bytes: int) -> int:
-        if self.nic_gbps is None:
-            return self.network.topology.transmission_ns(size_bytes)
-        bits = size_bytes * 8
-        return int(bits / (self.nic_gbps * 1e9) * 1e9)
 
     # -- transmit server -------------------------------------------------
     def _transmit(self, dst: str, message: Message, size: int) -> None:
@@ -79,14 +53,15 @@ class Endpoint:
             self._tx_start(dst, message, size)
 
     def _tx_start(self, dst: str, message: Message, size: int) -> None:
-        tx_ns = self._transmission_ns(size)
-        self.network.sim.schedule(tx_ns, self._tx_done, dst, message, size, tx_ns)
+        network = self.network
+        network.sim.schedule(
+            network.topology.transmission_ns(size),
+            self._tx_done, dst, message, size,
+        )
 
-    def _tx_done(self, dst: str, message: Message, size: int, tx_ns: int) -> None:
+    def _tx_done(self, dst: str, message: Message, size: int) -> None:
         network = self.network
         sim = network.sim
-        if tx_ns:
-            network.nic_busy.add(tx_ns)
         if network.faults.should_deliver(self.name, dst, sim.now):
             topology = network.topology
             latency = topology.one_way_latency_ns
@@ -109,29 +84,17 @@ class Endpoint:
             self._rx_start(message, size)
 
     def _rx_start(self, message: Message, size: int) -> None:
-        self.network.sim.schedule(self._transmission_ns(size), self._rx_done, message)
+        network = self.network
+        network.sim.schedule(
+            network.topology.transmission_ns(size), self._rx_done, message
+        )
 
     def _rx_done(self, message: Message) -> None:
         network = self.network
-        inbox = self.inbox
         if network.faults.is_crashed(self.name, network.sim.now):
             network.dropped_messages += 1
-        elif inbox.capacity is None:
-            inbox.put_nowait(message)
-        elif inbox.policy == "block":
-            if len(inbox) >= inbox.capacity:
-                # back-pressure onto the RX NIC: service stalls (and the
-                # RX backlog grows) until the input threads catch up
-                inbox.put(message)._bind(network.sim, _RxStall(self))
-                return
-            inbox.put_nowait(message)
-        elif not inbox.offer(message):
-            # "reject" refused the newest arrival; shed_oldest drops
-            # are accounted by the inbox's on_shed callback instead
-            network.dropped_messages += 1
-        self._rx_next()
-
-    def _rx_next(self) -> None:
+        else:
+            self.inbox.put_nowait(message)
         if self._rx_backlog:
             self._rx_start(*self._rx_backlog.popleft())
         else:
@@ -155,22 +118,17 @@ class Network:
         self.bytes_sent = 0
         self.dropped_messages = 0
 
-        from repro.sim.metrics import BusyTracker
-
-        self.nic_busy = BusyTracker("nic")
-
     def reset_window(self) -> None:
         """Zero traffic statistics (called when a measurement window opens)."""
         self.messages_sent = 0
         self.bytes_sent = 0
         self.dropped_messages = 0
-        self.nic_busy.reset()
 
-    def register(self, name: str, nic_gbps: Optional[float] = None) -> Endpoint:
+    def register(self, name: str) -> Endpoint:
         """Attach an endpoint; returns its handle (with ``inbox``)."""
         if name in self.endpoints:
             raise ValueError(f"endpoint {name!r} already registered")
-        endpoint = Endpoint(self, name, nic_gbps)
+        endpoint = Endpoint(self, name)
         self.endpoints[name] = endpoint
         return endpoint
 

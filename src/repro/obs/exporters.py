@@ -4,8 +4,7 @@ Four serialisers, all pure functions of the in-memory instruments:
 
 - :func:`prometheus_text` — the Prometheus exposition format (text/plain
   version 0.0.4) for :class:`~repro.sim.metrics.MetricsRegistry` counters,
-  histograms (as summaries) and busy trackers, plus the latest sampler
-  values as gauges.  Scrape the file or serve it as-is.
+  histograms (as summaries), plus the latest sampler values as gauges.  Scrape the file or serve it as-is.
 - :func:`metrics_json` — the same data as one JSON document (stable key
   order) for ad-hoc tooling and golden tests.
 - :func:`sampler_csv` — the sampler's time series in long format
@@ -58,11 +57,6 @@ def prometheus_text(registry, sampler=None, spans=None) -> str:
     for name in sorted(registry.histograms):
         _summary_lines(lines, _metric_name(name), registry.histograms[name])
 
-    for name in sorted(registry.busy):
-        metric = _metric_name(f"busy_{name}_ns")
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {registry.busy[name].busy_ns}")
-
     window = _metric_name("measurement_window_seconds")
     lines.append(f"# TYPE {window} gauge")
     lines.append(f"{window} {registry.window_ns() / NANOS_PER_SEC:.9f}")
@@ -103,8 +97,8 @@ def _summary_lines(lines: List[str], metric: str, histogram) -> None:
 # JSON
 # ----------------------------------------------------------------------
 def metrics_json(registry, sampler=None, spans=None, indent: int = 2) -> str:
-    """One JSON document with counters, histograms, busy time, stage
-    latency and sampled time series (stable key order)."""
+    """One JSON document with counters, histograms, stage latency and
+    sampled time series (stable key order)."""
     doc: Dict[str, object] = {
         "counters": {
             name: counter.value
@@ -113,10 +107,6 @@ def metrics_json(registry, sampler=None, spans=None, indent: int = 2) -> str:
         "histograms": {
             name: _histogram_dict(histogram)
             for name, histogram in sorted(registry.histograms.items())
-        },
-        "busy_ns": {
-            name: tracker.busy_ns
-            for name, tracker in sorted(registry.busy.items())
         },
         "window_ns": registry.window_ns(),
     }

@@ -106,11 +106,7 @@ class PipelineSampler:
                 at, f"{replica_id}.exec-pending", len(replica.exec_pending)
             )
             flow = replica.flow
-            self._record(
-                at,
-                f"{replica_id}.flow.shed",
-                flow.shed_requests + flow.shed_messages,
-            )
+            self._record(at, f"{replica_id}.flow.shed", flow.shed_requests)
             self._record(at, f"{replica_id}.flow.nacks", flow.nacks_sent)
             self._record(
                 at, f"{replica_id}.flow.inflight", replica.admission.inflight

@@ -24,31 +24,27 @@ Public surface:
   (:class:`~repro.sim.events.Timeout`, :class:`~repro.sim.events.SimEvent`);
   :class:`~repro.sim.process.Continuation` binds the same effects to a
   callback for hot, fixed-shape threads.
-- :class:`~repro.sim.queues.SimQueue` — FIFO channels between stages.
+- :class:`~repro.sim.queues.SimQueue` — FIFO channels between stages;
+  ``offer(item, producer)`` applies a bounded queue's back-pressure
+  policy.
 - :class:`~repro.sim.resources.CpuScheduler` — simulated multi-core CPU with
   per-thread busy-time accounting.
 - :mod:`~repro.sim.clock` — time-unit helpers (the clock is integer
   nanoseconds).
-- :class:`~repro.sim.metrics.MetricsRegistry` — counters, histograms and
-  busy-time gauges with warmup-window resets.
+- :class:`~repro.sim.metrics.MetricsRegistry` — counters and histograms
+  with warmup-window resets.
 """
 
 from repro.sim.clock import micros, millis, nanos, seconds, to_seconds
 from repro.sim.events import SimEvent, Timeout, TIMEOUT
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import (
-    BusyTracker,
-    Counter,
-    LatencyHistogram,
-    MetricsRegistry,
-)
+from repro.sim.metrics import Counter, LatencyHistogram, MetricsRegistry
 from repro.sim.process import Continuation, Process
 from repro.sim.queues import SimQueue
 from repro.sim.resources import CpuScheduler
 from repro.sim.rng import DeterministicRNG
 
 __all__ = [
-    "BusyTracker",
     "Continuation",
     "Counter",
     "CpuScheduler",

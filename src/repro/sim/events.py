@@ -9,10 +9,8 @@ Supported effects:
 - ``Timeout(delay)`` or a bare ``int`` — resume after ``delay`` ticks.
 - ``SimEvent`` — resume when the event is triggered; the trigger value is
   the result of the ``yield``.
-- ``SimQueue.get()`` / bounded ``SimQueue.put(item)`` — see
-  :mod:`repro.sim.queues`.
+- ``SimQueue.get()`` — see :mod:`repro.sim.queues`.
 - ``CpuScheduler.run(cost, thread_id)`` — see :mod:`repro.sim.resources`.
-- ``Process`` — join: resume when the target process finishes.
 """
 
 from __future__ import annotations

@@ -108,26 +108,6 @@ class LatencyHistogram:
         return self._max / NANOS_PER_SEC if self._total else 0.0
 
 
-class BusyTracker:
-    """Accumulates busy time for a named activity outside the CPU scheduler
-    (e.g. NIC occupancy), with the same window semantics."""
-
-    __slots__ = ("name", "busy_ns")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.busy_ns = 0
-
-    def add(self, ticks: int) -> None:
-        self.busy_ns += ticks
-
-    def reset(self) -> None:
-        self.busy_ns = 0
-
-    def utilisation(self, window_ns: int) -> float:
-        return min(1.0, self.busy_ns / window_ns) if window_ns > 0 else 0.0
-
-
 class MetricsRegistry:
     """All instruments for one simulation, plus the measurement window.
 
@@ -140,7 +120,6 @@ class MetricsRegistry:
         self.sim = sim
         self.counters: Dict[str, Counter] = {}
         self.histograms: Dict[str, LatencyHistogram] = {}
-        self.busy: Dict[str, BusyTracker] = {}
         self.window_start: int = 0
         self._resettables: List = []
 
@@ -159,11 +138,6 @@ class MetricsRegistry:
             self.histograms[name] = LatencyHistogram(name, max_samples=max_samples)
         return self.histograms[name]
 
-    def busy_tracker(self, name: str) -> BusyTracker:
-        if name not in self.busy:
-            self.busy[name] = BusyTracker(name)
-        return self.busy[name]
-
     def register_resettable(self, obj) -> None:
         """Attach any object exposing ``reset_window()`` (e.g. a
         :class:`~repro.sim.resources.CpuScheduler`) to the warmup reset."""
@@ -177,8 +151,6 @@ class MetricsRegistry:
             counter.reset()
         for histogram in self.histograms.values():
             histogram.reset()
-        for tracker in self.busy.values():
-            tracker.reset()
         for obj in self._resettables:
             obj.reset_window()
         self.window_start = self.sim.now

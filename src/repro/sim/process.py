@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.sim.events import SimEvent
-
 
 class ProcessFailure(RuntimeError):
     """Wraps an exception that escaped a simulation process."""
@@ -28,21 +26,16 @@ class ProcessFailure(RuntimeError):
 
 
 class Process:
-    """A running simulation process.
+    """A running simulation process; it ends when its generator returns
+    (the return value is discarded)."""
 
-    Yield a ``Process`` from another process to *join* it — the joiner is
-    resumed with the joined process's return value when it finishes.
-    """
-
-    __slots__ = ("sim", "generator", "name", "completion", "finished", "result")
+    __slots__ = ("sim", "generator", "name", "finished")
 
     def __init__(self, sim, generator: Generator, name: str = ""):
         self.sim = sim
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self.completion = SimEvent(sim)
         self.finished = False
-        self.result: Any = None
 
     def resume(self, value: Any) -> None:
         """Advance the generator one step; dispatch the next effect."""
@@ -50,8 +43,8 @@ class Process:
             return
         try:
             effect = self.generator.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
+        except StopIteration:
+            self._finish()
             return
         except Exception as exc:
             self._finish_error(exc)
@@ -70,15 +63,9 @@ class Process:
             return
         bind(self.sim, self)
 
-    def _bind(self, sim, process: "Process") -> None:
-        """Effect protocol: a process yielding this one joins it."""
-        self.completion._bind(sim, process)
-
-    def _finish(self, result: Any) -> None:
+    def _finish(self) -> None:
         self.finished = True
-        self.result = result
         self.generator.close()
-        self.completion.trigger(result)
 
     def _finish_error(self, exc: BaseException) -> None:
         self.finished = True

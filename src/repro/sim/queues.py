@@ -8,10 +8,11 @@ request is consumed as soon as any batch-thread is available" (§4.3) —
 ``get()`` are served in FIFO order as items arrive.
 
 Bounded queues carry a back-pressure *policy* deciding what happens when a
-producer hits the capacity limit:
+producer hits the capacity limit, and :meth:`SimQueue.offer` is the one
+producer call that applies it:
 
 - ``"block"`` — the producer parks until the consumer frees capacity
-  (``yield queue.put(item)``); pressure propagates upstream.
+  (``offer(item, producer)``); pressure propagates upstream.
 - ``"shed_oldest"`` — the oldest queued item is evicted to make room
   (drop-from-head, so the accepted item still joins FIFO order at the
   tail); the ``on_shed`` callback lets the owner NACK or count the victim.
@@ -77,46 +78,16 @@ class _QueueGet:
             sim.schedule(self.timeout, _expire)
 
 
-class _QueuePut:
-    """Effect: enqueue under the queue's policy; resume with True if the
-    item was accepted, False if the ``reject`` policy refused it.  Only
-    the ``block`` policy ever parks the producer."""
-
-    __slots__ = ("queue", "item")
-
-    def __init__(self, queue: "SimQueue", item: Any):
-        self.queue = queue
-        self.item = item
-
-    def _bind(self, sim, process) -> None:
-        queue = self.queue
-        if not queue._full():
-            queue._enqueue(sim, self.item)
-            sim.schedule(0, process.resume, True)
-        elif queue.policy == "shed_oldest":
-            queue._shed()
-            queue._enqueue(sim, self.item)
-            sim.schedule(0, process.resume, True)
-        elif queue.policy == "reject":
-            queue.rejected_total += 1
-            sim.schedule(0, process.resume, False)
-        else:
-            queue._putters.append((process, self.item))
-
-
 class SimQueue:
     """An (optionally bounded) FIFO queue usable from simulation processes.
 
     - ``yield queue.get()`` blocks the process until an item arrives.
-    - ``queue.put_nowait(item)`` enqueues immediately (unbounded queues, or
-      producer code running outside a process, e.g. network delivery).
-    - ``yield queue.put(item)`` applies the policy from a process context:
-      ``block`` parks until capacity frees (back-pressure), the lossy
-      policies resolve immediately; resumes with accepted True/False.
-    - ``queue.offer(item)`` applies the policy without blocking (callers
-      outside process context): sheds or rejects at capacity, returns
-      whether the item was accepted.  Under ``block`` it behaves like
-      ``put_nowait`` (blocking is impossible outside a process).
+    - ``queue.put_nowait(item)`` enqueues immediately (raises if a bounded
+      queue is full).
+    - ``queue.offer(item, producer)`` applies the policy at capacity:
+      ``shed_oldest`` evicts and accepts, ``reject`` refuses, ``block``
+      parks ``producer`` until capacity frees and then resumes it with
+      True (back-pressure).
     """
 
     __slots__ = (
@@ -175,8 +146,12 @@ class SimQueue:
             raise OverflowError(f"queue {self.name!r} full (capacity={self.capacity})")
         self._enqueue(self.sim, item)
 
-    def offer(self, item: Any) -> bool:
-        """Policy-aware non-blocking enqueue; True iff the item got in."""
+    def offer(self, item: Any, producer=None) -> Optional[bool]:
+        """Policy-aware enqueue: True if the item got in, False if
+        ``reject`` refused it, None if a full ``block`` queue parked
+        ``producer`` (anything with ``resume(value)``; it is resumed with
+        True once the item gets in).  With no producer a full ``block``
+        queue raises, as :meth:`put_nowait` does."""
         if not self._full():
             self._enqueue(self.sim, item)
             return True
@@ -187,11 +162,12 @@ class SimQueue:
         if self.policy == "reject":
             self.rejected_total += 1
             return False
-        raise OverflowError(f"queue {self.name!r} full (capacity={self.capacity})")
-
-    def put(self, item: Any) -> _QueuePut:
-        """Effect for process-context puts (back-pressure under ``block``)."""
-        return _QueuePut(self, item)
+        if producer is None:
+            raise OverflowError(
+                f"queue {self.name!r} full (capacity={self.capacity})"
+            )
+        self._putters.append((producer, item))
+        return None
 
     def _full(self) -> bool:
         """Whether the queue is at its capacity bound."""
@@ -226,9 +202,9 @@ class SimQueue:
 
     def _wake_putters(self, sim) -> None:
         while self._putters and not self._full():
-            process, item = self._putters.popleft()
+            producer, item = self._putters.popleft()
             self._enqueue(sim, item)
-            sim.schedule(0, process.resume, True)
+            sim.schedule(0, producer.resume, True)
 
     # ------------------------------------------------------------------
     # consumer side
@@ -273,7 +249,7 @@ class SimQueue:
 
     @property
     def blocked_producers(self) -> int:
-        """Producers currently parked in ``put()`` (``block`` policy)."""
+        """Producers currently parked by ``offer()`` (``block`` policy)."""
         return len(self._putters)
 
     @property
@@ -319,8 +295,8 @@ class SimPriorityQueue(SimQueue):
         self._enqueue(self.sim, item, priority)
 
     def _enqueue(self, sim, item: Any, priority: int = 0) -> None:
-        # every producer path (put_nowait, and the inherited put/offer)
-        # lands here, so the heap order holds whichever one is used
+        # both producer paths (put_nowait, and the inherited offer) land
+        # here, so the heap order holds whichever one is used
         self.enqueued_total += 1
         getter = self._pop_active_getter() if self._getters else None
         if getter is not None:

@@ -66,6 +66,15 @@ def test_batch_queue_bound_needs_batch_threads():
     assert SystemConfig(batch_threads=0).batch_queue_capacity is None
 
 
+def test_upper_bound_mode_needs_batch_threads():
+    # Fig. 7 upper-bound mode: the batch-threads are the responders, so
+    # with none of them nothing would drain the batch queue
+    with pytest.raises(ValueError, match="batch_threads"):
+        SystemConfig(consensus_enabled=False, batch_threads=0)
+    assert not SystemConfig(consensus_enabled=False, batch_threads=1).consensus_enabled
+    assert SystemConfig(batch_threads=0).consensus_enabled
+
+
 def test_with_options_derives_variant():
     base = SystemConfig()
     variant = base.with_options(num_replicas=32, batch_size=500)

@@ -93,16 +93,6 @@ def test_block_policy_applies_backpressure_without_loss():
     system.validate_safety()
 
 
-def test_bounded_inbox_depth_respects_capacity():
-    system, result = run_system(
-        overload_config(inbox_capacity=64, admission_max_inflight=None)
-    )
-    assert result.completed_requests > 0
-    for replica in system.replicas.values():
-        assert replica.endpoint.inbox.max_depth <= 64
-    assert check_flow_invariants(system) == []
-
-
 @pytest.mark.parametrize("protocol", ["zyzzyva", "poe"])
 def test_admission_nacks_do_not_wedge_speculative_protocols(protocol):
     system, result = run_system(

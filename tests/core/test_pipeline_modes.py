@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ResilientDBSystem
+from repro.sim.clock import millis
 
 
 def test_zero_batch_threads_still_commits(small_config):
@@ -97,6 +98,25 @@ def test_buffer_pool_disabled_still_works(small_config):
     assert primary.message_pool.hits == 0
 
 
+def test_message_pool_refills_as_batches_execute(small_config, monkeypatch):
+    """Each proposal takes a message object from the primary's pool and
+    its execution returns it, so the pool never drains for good.  A
+    64-object pool stands in for the deployed 4,096 so that a short run
+    proposes several times the pool's capacity."""
+    import repro.core.replica as replica_module
+
+    monkeypatch.setattr(replica_module, "BUFFER_POOL_CAPACITY", 64)
+    config = small_config.with_options(
+        batch_size=1, warmup=millis(5), measure=millis(20)
+    )
+    system = ResilientDBSystem(config)
+    system.run()
+    pool = system.replicas["r0"].message_pool
+    assert pool.capacity == 64
+    assert pool.hits > 4 * pool.capacity
+    assert pool.misses == 0
+
+
 def test_buffer_pool_recycling_cheaper():
     """Pooled acquisition charges less simulated CPU than allocation."""
     from repro.storage.bufferpool import BufferPool
@@ -142,7 +162,6 @@ def test_upper_bound_mode_charges_the_backends_storage_cost(small_config):
     """Fig. 7's responder threads pay the configured backend's per-op
     storage cost, as the consensus execute-thread does."""
     from repro.consensus.messages import ClientRequest
-    from repro.sim.clock import millis
     from repro.workloads import Operation, OpType, Transaction
 
     def responder_busy_ns(backend: str):

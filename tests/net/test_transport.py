@@ -221,49 +221,6 @@ def test_network_statistics():
 # -- the NIC as two FIFO servers ---------------------------------------------
 
 
-def test_full_block_inbox_stalls_rx_nic_then_resumes_fifo():
-    """A full ``block`` inbox parks the RX NIC: the stalled message waits
-    for a free slot, later arrivals queue behind it, and delivery resumes
-    in order once an input thread drains the inbox; nothing is dropped."""
-    sim = Simulator()
-    latency = micros(10)
-    network, _a, b = make_network(sim, one_way_latency_ns=latency, nic_gbps=1.0)
-    b.inbox.capacity = 1
-    b.inbox.policy = "block"
-    messages = [Ping("a", body_bytes=10_000) for _ in range(3)]
-    tx_ns = Topology(nic_gbps=1.0).transmission_ns(messages[0].wire_bytes())
-    for message in messages:
-        network.send("a", "b", message)
-
-    # m0 fills the inbox at 2T+L; m1 finishes RX at 3T+L and stalls; m2
-    # arrives at 3T+L and waits in the RX backlog
-    stalled = []
-    sim.schedule(
-        3 * tx_ns + latency + 1,
-        lambda: stalled.append((len(b.inbox), b.inbox.blocked_producers)),
-    )
-    start = micros(500)
-    got = []
-
-    def input_thread():
-        yield start
-        while True:
-            message = yield b.inbox.get()
-            got.append((sim.now, message))
-
-    sim.spawn(input_thread())
-    sim.run(until=seconds(1))
-    assert stalled == [(1, 1)]
-    # taking m0 admits the stalled m1 at once; m2 then serialises
-    assert got == [
-        (start, messages[0]),
-        (start, messages[1]),
-        (start + tx_ns, messages[2]),
-    ]
-    assert network.dropped_messages == 0
-    assert b.inbox.blocked_producers == 0
-
-
 def test_receiver_crash_mid_rx_drops_that_message_and_later_ones():
     sim = Simulator()
     latency = micros(10)
@@ -306,41 +263,6 @@ def test_zero_time_transmission_keeps_fifo_order():
         network.send("a", "b", message)
     sim.run(until=seconds(1))
     assert got == [(micros(5), message) for message in messages]
-
-
-def test_reject_inbox_counts_each_refused_message_once():
-    sim = Simulator()
-    network, _a, b = make_network(sim, one_way_latency_ns=0)
-    b.inbox.capacity = 1
-    b.inbox.policy = "reject"
-    messages = [Ping("a") for _ in range(3)]
-    for message in messages:
-        network.send("a", "b", message)
-    sim.run(until=seconds(1))
-    assert b.inbox.get_nowait() is messages[0]
-    assert b.inbox.rejected_total == 2
-    assert network.dropped_messages == 2
-
-
-def test_shed_oldest_inbox_drops_are_counted_by_on_shed_only():
-    sim = Simulator()
-    network, _a, b = make_network(sim, one_way_latency_ns=0)
-    shed = []
-
-    def on_shed(item):
-        shed.append(item)
-        network.dropped_messages += 1
-
-    b.inbox.capacity = 1
-    b.inbox.policy = "shed_oldest"
-    b.inbox.on_shed = on_shed
-    messages = [Ping("a") for _ in range(3)]
-    for message in messages:
-        network.send("a", "b", message)
-    sim.run(until=seconds(1))
-    assert b.inbox.get_nowait() is messages[2]
-    assert shed == messages[:2]
-    assert network.dropped_messages == 2
 
 
 def test_endpoints_spawn_no_processes():

@@ -27,7 +27,6 @@ def small_registry():
     histogram = registry.histogram("request_latency")
     for latency in (1_000, 2_000, 3_000, 4_000):
         histogram.record(latency)
-    registry.busy_tracker("nic").add(5_000)
     sim.now = 1_000_000
     return registry
 
@@ -46,8 +45,6 @@ def test_prometheus_golden():
         'repro_request_latency_seconds{quantile="0.99"} 0.000004000\n'
         "repro_request_latency_seconds_sum 0.000010000\n"
         "repro_request_latency_seconds_count 4\n"
-        "# TYPE repro_busy_nic_ns gauge\n"
-        "repro_busy_nic_ns 5000\n"
         "# TYPE repro_measurement_window_seconds gauge\n"
         "repro_measurement_window_seconds 0.001000000\n"
     )

@@ -201,7 +201,6 @@ def test_counter_factory_idempotent():
     metrics = MetricsRegistry(sim)
     assert metrics.counter("a") is metrics.counter("a")
     assert metrics.histogram("h") is metrics.histogram("h")
-    assert metrics.busy_tracker("b") is metrics.busy_tracker("b")
 
 
 def test_rng_fork_is_stable_and_independent():

@@ -73,42 +73,6 @@ def test_process_timeout_advances_clock():
     assert trace == [micros(5), micros(15)]
 
 
-def test_process_return_value_via_join():
-    sim = Simulator()
-    results = []
-
-    def child():
-        yield Timeout(10)
-        return 42
-
-    def parent():
-        value = yield sim.spawn(child())
-        results.append(value)
-
-    sim.spawn(parent())
-    sim.run()
-    assert results == [42]
-
-
-def test_joining_finished_process_resumes_immediately():
-    sim = Simulator()
-    results = []
-
-    def child():
-        yield Timeout(1)
-        return "done"
-
-    def parent(child_process):
-        yield Timeout(100)  # child long finished
-        value = yield child_process
-        results.append((sim.now, value))
-
-    child_process = sim.spawn(child())
-    sim.spawn(parent(child_process))
-    sim.run()
-    assert results == [(100, "done")]
-
-
 def test_process_exception_propagates_as_failure():
     sim = Simulator()
 
@@ -182,33 +146,6 @@ def test_yielding_non_effect_names_the_process(effect):
     with pytest.raises(ProcessFailure, match="confused") as excinfo:
         sim.run()
     assert isinstance(excinfo.value.original, TypeError)
-
-
-def test_join_running_and_finished_process():
-    """Joiners of a running process wake when it finishes; joining it after
-    it finished resumes at once with the same result."""
-    sim = Simulator()
-    results = []
-
-    def child():
-        yield Timeout(50)
-        return "done"
-
-    def joiner(label, child_process, delay):
-        yield Timeout(delay)
-        value = yield child_process
-        results.append((label, sim.now, value))
-
-    child_process = sim.spawn(child())
-    sim.spawn(joiner("early", child_process, 10))
-    sim.spawn(joiner("also-early", child_process, 20))
-    sim.spawn(joiner("late", child_process, 80))
-    sim.run()
-    assert results == [
-        ("early", 50, "done"),
-        ("also-early", 50, "done"),
-        ("late", 80, "done"),
-    ]
 
 
 def test_run_until_before_now_rejected():

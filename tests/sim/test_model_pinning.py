@@ -98,13 +98,6 @@ CASES = {
         lambda: _small(client_retransmit=millis(5)),
         _jitter_and_loss,
     ),
-    # a bounded block-policy inbox stalls the RX NIC under load
-    "pbft-blocking-inbox": (
-        lambda: _small(
-            num_clients=128, batch_size=20, inbox_capacity=2, queue_policy="block"
-        ),
-        _fault_free,
-    ),
     # a bounded block-policy batch queue parks the input stage
     "pbft-blocking-batch-queue": (
         lambda: _small(
@@ -205,7 +198,7 @@ def observe(name: str) -> dict:
     }
 
 
-#: the first seven recorded from the build before the NIC FIFO-server
+#: the first six recorded from the build before the NIC FIFO-server
 #: transport; the next five from the build before the engine-contract
 #: refactor; pbft-blocking-batch-queue from the build before the
 #: callback-driven input/output stages; zyzzyva-backup-crash,
@@ -215,7 +208,6 @@ EXPECTED = {
     'pbft-0b0e': {'history': '624bb7bebd14eb467a84edc2', 'completed': 1455, 'p50_s': 0.000879817, 'p99_s': 0.001082036},
     'pbft-backup-recover': {'history': '2f9d37e03a7117a3535b24c5', 'completed': 4260, 'p50_s': 0.000719223, 'p99_s': 0.001243663},
     'pbft-blocking-batch-queue': {'history': '44a4f58d58f49b8d8280ac56', 'completed': 5510, 'p50_s': 0.000927194, 'p99_s': 0.000958036},
-    'pbft-blocking-inbox': {'history': '9c91da1f93353cba174d9690', 'completed': 5440, 'p50_s': 0.000901445, 'p99_s': 0.001073827},
     'pbft-equivocating-primary': {'history': '22c7b019ffa325de5244d010', 'completed': 3612, 'p50_s': 0.000819886, 'p99_s': 0.001452567},
     'pbft-jitter-lossy': {'history': '21407643f829449414e4ff40', 'completed': 1320, 'p50_s': 0.000758303, 'p99_s': 0.006357611},
     'pbft-n4': {'history': 'f01767b20ec03d2de352d588', 'completed': 1704, 'p50_s': 0.000722655, 'p99_s': 0.001240708},

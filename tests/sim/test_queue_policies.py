@@ -3,11 +3,12 @@
 import pytest
 
 from repro.sim.kernel import Simulator
+from repro.sim.process import Continuation
 from repro.sim.queues import SimPriorityQueue, SimQueue
 
 
 # ----------------------------------------------------------------------
-# offer(): the non-blocking, policy-aware producer path
+# offer(): the policy-aware producer path
 # ----------------------------------------------------------------------
 def test_offer_within_capacity_accepts():
     sim = Simulator()
@@ -46,35 +47,39 @@ def test_block_policy_offer_overflows_like_put_nowait():
     sim = Simulator()
     queue = SimQueue(sim, "q", capacity=1, policy="block")
     queue.offer("a")
+    # with no producer to park, a full block queue raises
     with pytest.raises(OverflowError):
         queue.offer("b")
 
 
 # ----------------------------------------------------------------------
-# yield queue.put(item): the process-context producer path
+# offer(item, producer): a full block queue parks the producer
 # ----------------------------------------------------------------------
+def recording_producer(sim, log, label=None):
+    """A producer that logs each resume as (label, value, time)."""
+    return Continuation(
+        "producer", lambda value: log.append((label, value, sim.now))
+    )
+
+
 def test_block_policy_parks_producer_until_capacity_frees():
     sim = Simulator()
     queue = SimQueue(sim, "q", capacity=1, policy="block")
     queue.put_nowait("first")
     log = []
-
-    def producer():
-        accepted = yield queue.put("second")
-        log.append(("accepted", accepted, sim.now))
+    assert queue.offer("second", recording_producer(sim, log, "accepted")) is None
+    assert queue.blocked_producers == 1
 
     def consumer():
         yield 10
         item = queue.get_nowait()
         log.append(("got", item, sim.now))
 
-    sim.spawn(producer())
     sim.spawn(consumer())
     sim.run()
     # the producer parked at t=0 and only resumed once the consumer made
     # room at t=10; the parked item then entered the queue
-    assert ("got", "first", 10) in log
-    assert ("accepted", True, 10) in log
+    assert log == [("got", "first", 10), ("accepted", True, 10)]
     assert queue.get_nowait() == "second"
 
 
@@ -82,16 +87,12 @@ def test_reject_policy_put_resumes_with_false():
     sim = Simulator()
     queue = SimQueue(sim, "q", capacity=1, policy="reject")
     queue.put_nowait("first")
-    outcomes = []
-
-    def producer(item):
-        accepted = yield queue.put(item)
-        outcomes.append((item, accepted))
-
-    sim.spawn(producer("second"))
+    log = []
+    assert queue.offer("second", recording_producer(sim, log)) is False
     sim.run()
-    assert outcomes == [("second", False)]
-    assert queue.depth == 1
+    # refused at once: the producer is never parked or resumed
+    assert log == []
+    assert queue.depth == 1 and queue.blocked_producers == 0
 
 
 def test_shed_oldest_put_always_accepts():
@@ -101,15 +102,10 @@ def test_shed_oldest_put_always_accepts():
         sim, "q", capacity=1, policy="shed_oldest", on_shed=victims.append
     )
     queue.put_nowait("old")
-    outcomes = []
-
-    def producer():
-        accepted = yield queue.put("new")
-        outcomes.append(accepted)
-
-    sim.spawn(producer())
+    log = []
+    assert queue.offer("new", recording_producer(sim, log)) is True
     sim.run()
-    assert outcomes == [True]
+    assert log == []
     assert victims == ["old"]
     assert queue.get_nowait() == "new"
 
@@ -125,8 +121,7 @@ def test_waiting_consumer_woken_by_policy_put():
 
     def producer():
         yield 5
-        accepted = yield queue.put("x")
-        assert accepted
+        assert queue.offer("x", recording_producer(sim, [])) is True
 
     sim.spawn(consumer())
     sim.spawn(producer())
@@ -138,22 +133,20 @@ def test_multiple_blocked_producers_wake_in_fifo_order():
     sim = Simulator()
     queue = SimQueue(sim, "q", capacity=1, policy="block")
     queue.put_nowait("seed")
-    order = []
-
-    def producer(item):
-        yield queue.put(item)
-        order.append(item)
+    log = []
+    for item in ("p1", "p2"):
+        assert queue.offer(item, recording_producer(sim, log, item)) is None
+    drained = []
 
     def consumer():
         for _ in range(3):
             yield 10
-            queue.get_nowait()
+            drained.append(queue.get_nowait())
 
-    sim.spawn(producer("p1"))
-    sim.spawn(producer("p2"))
     sim.spawn(consumer())
     sim.run()
-    assert order == ["p1", "p2"]
+    assert log == [("p1", True, 10), ("p2", True, 20)]
+    assert drained == ["seed", "p1", "p2"]
 
 
 # ----------------------------------------------------------------------
@@ -178,18 +171,13 @@ def test_priority_queue_inherited_producers_keep_heap_order():
     queue = SimPriorityQueue(sim, "pq")
     queue.put_nowait("c1", priority=1)
     queue.put_nowait("c2", priority=1)
-    # offer() and the put() effect come from SimQueue; both admit at the
-    # default priority 0, ahead of the queued client requests
+    # offer() comes from SimQueue; with or without a producer it admits
+    # at the default priority 0, ahead of the queued client requests
     assert queue.offer("m1") is True
     log = []
-
-    def producer():
-        accepted = yield queue.put("m2")
-        log.append(accepted)
-
-    sim.spawn(producer())
+    assert queue.offer("m2", recording_producer(sim, log)) is True
     sim.run()
-    assert log == [True]
+    assert log == []
     drained = [queue.get_nowait() for _ in range(queue.depth)]
     assert drained == ["m1", "m2", "c1", "c2"]
 

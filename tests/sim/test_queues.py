@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimQueue, Simulator, Timeout
+from repro.sim import Continuation, SimQueue, Simulator, Timeout
 
 
 def test_put_nowait_then_get():
@@ -89,10 +89,10 @@ def test_bounded_queue_blocking_put_applies_backpressure():
     sim = Simulator()
     queue = SimQueue(sim, "q", capacity=1)
     times = []
-
-    def producer():
-        for item in ("a", "b"):
-            yield queue.put(item)
+    # resumed with True once a parked item gets in
+    producer = Continuation("producer", lambda _accepted: times.append(sim.now))
+    for item in ("a", "b"):
+        if queue.offer(item, producer):
             times.append(sim.now)
 
     def consumer():
@@ -100,7 +100,6 @@ def test_bounded_queue_blocking_put_applies_backpressure():
         queue.get_nowait()
         yield Timeout(100)
 
-    sim.spawn(producer())
     sim.spawn(consumer())
     sim.run()
     # first put immediate; second blocked until the consumer freed a slot

@@ -9,72 +9,67 @@ from repro.storage import BufferPool, CheckpointStore
 # buffer pool
 # ----------------------------------------------------------------------
 def test_pool_hit_is_cheaper_than_allocation():
-    pool = BufferPool(dict, capacity=4)
-    _, hit_cost = pool.acquire()
+    pool = BufferPool(capacity=4)
+    hit_cost = pool.acquire_bulk(1)
     assert hit_cost == BufferPool.pooled_acquire_ns
     assert hit_cost < BufferPool.alloc_ns
 
 
 def test_pool_miss_falls_back_to_allocation():
-    pool = BufferPool(dict, capacity=1)
-    pool.acquire()
-    _, miss_cost = pool.acquire()
+    pool = BufferPool(capacity=1)
+    pool.acquire_bulk(1)
+    miss_cost = pool.acquire_bulk(1)
     assert miss_cost == BufferPool.alloc_ns
     assert pool.hits == 1 and pool.misses == 1
 
 
 def test_release_recycles_objects():
-    pool = BufferPool(dict, capacity=1)
-    obj, _ = pool.acquire()
+    pool = BufferPool(capacity=1)
+    pool.acquire_bulk(1)
     assert pool.available == 0
-    pool.release(obj)
+    pool.release_bulk(1)
     assert pool.available == 1
-    recycled, cost = pool.acquire()
-    assert recycled is obj
-    assert cost == BufferPool.pooled_acquire_ns
+    assert pool.acquire_bulk(1) == BufferPool.pooled_acquire_ns
 
 
 def test_release_beyond_capacity_drops():
-    pool = BufferPool(dict, capacity=1)
-    pool.release(dict())
-    pool.release(dict())
+    pool = BufferPool(capacity=1)
+    pool.release_bulk(1)
+    pool.release_bulk(1)
     assert pool.available == 1
 
 
 def test_disabled_pool_always_allocates():
-    pool = BufferPool(dict, capacity=8, enabled=False)
-    _, cost = pool.acquire()
-    assert cost == BufferPool.alloc_ns
+    pool = BufferPool(capacity=8, enabled=False)
+    assert pool.acquire_bulk(1) == BufferPool.alloc_ns
     assert pool.hit_rate() == 0.0
 
 
 def test_negative_capacity_rejected():
     with pytest.raises(ValueError):
-        BufferPool(dict, capacity=-1)
+        BufferPool(capacity=-1)
 
 
 def test_hit_rate():
-    pool = BufferPool(dict, capacity=2)
-    pool.acquire()
-    pool.acquire()
-    pool.acquire()  # miss
+    pool = BufferPool(capacity=2)
+    pool.acquire_bulk(1)
+    pool.acquire_bulk(1)
+    pool.acquire_bulk(1)  # miss
     assert pool.hit_rate() == pytest.approx(2 / 3)
 
 
 def test_bulk_counts_and_released_objects_share_the_capacity():
-    pool = BufferPool(dict, capacity=5)
+    pool = BufferPool(capacity=5)
     assert pool.available == 5
     assert pool.acquire_bulk(7) == 5 * BufferPool.pooled_acquire_ns + (
         2 * BufferPool.alloc_ns
     )
     assert pool.available == 0
     pool.release_bulk(3)
-    obj = dict()
-    pool.release(obj)
+    pool.release_bulk(1)
     pool.release_bulk(4)  # only one slot left
     assert pool.available == 5 and pool.returned == 8
-    recycled, cost = pool.acquire()
-    assert recycled is obj and cost == BufferPool.pooled_acquire_ns
+    assert pool.acquire_bulk(1) == BufferPool.pooled_acquire_ns
     assert pool.acquire_bulk(5) == 4 * BufferPool.pooled_acquire_ns + (
         BufferPool.alloc_ns
     )
@@ -82,7 +77,7 @@ def test_bulk_counts_and_released_objects_share_the_capacity():
 
 
 def test_prefill_is_capped_at_the_limit():
-    pool = BufferPool(dict, capacity=BufferPool.PREFILL_LIMIT * 10)
+    pool = BufferPool(capacity=BufferPool.PREFILL_LIMIT * 10)
     assert pool.available == BufferPool.PREFILL_LIMIT
 
 
