@@ -11,9 +11,9 @@ protocol without knowing which one it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.consensus.messages import ClientRequest
+from repro.consensus.messages import ClientRequest, RequestBatch
 from repro.net.message import Message
 
 
@@ -193,6 +193,11 @@ class ConsensusEngine:
     a lane-local one).
 
     Host hooks: ``advance_stable(sequence)`` (checkpoint stable),
+    ``open_batches()`` (every batch the engine still holds above its
+    stable checkpoint: proposed, committed or carried into the current
+    view — a new primary skips their requests when it re-admits the
+    ones it forwarded; an engine that never changes view holds none it
+    needs to report),
     ``on_view_change_timeout(sequence)`` and ``suspect_primary()``
     (return view-change actions), ``absorb_adopted_log(log_slice)`` and
     ``clear_view_change_wedges()`` (after a state-transfer adoption).
@@ -267,6 +272,9 @@ class ConsensusEngine:
 
     def global_sequence(self, lane: int, sequence: int) -> int:
         return sequence
+
+    def open_batches(self) -> Iterable[RequestBatch]:
+        return ()
 
     def on_view_change_timeout(self, sequence: int) -> List[Action]:
         return []

@@ -323,6 +323,7 @@ class StateTransferResponse(Message):
         "snapshot",
         "snapshot_records",
         "pruned_through",
+        "executed_keys",
     )
 
     def __init__(
@@ -335,6 +336,7 @@ class StateTransferResponse(Message):
         snapshot,
         snapshot_records: int,
         pruned_through: int,
+        executed_keys=None,
     ):
         super().__init__(sender)
         self.executed_sequence = executed_sequence
@@ -344,6 +346,11 @@ class StateTransferResponse(Message):
         self.snapshot = snapshot
         self.snapshot_records = snapshot_records
         self.pruned_through = pruned_through
+        #: the request keys executed through ``executed_sequence`` (part
+        #: of the replicated state: the adopter must skip the same
+        #: duplicates its peers skip).  At one bit per request it is not
+        #: priced next to the record table.
+        self.executed_keys = executed_keys
 
     def payload_bytes(self) -> int:
         return (

@@ -24,7 +24,7 @@ prepared sequence so no committed request can be lost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.consensus.base import (
     Action,
@@ -43,6 +43,7 @@ from repro.consensus.messages import (
     NewView,
     Prepare,
     PrePrepare,
+    RequestBatch,
     ViewChange,
 )
 
@@ -246,6 +247,14 @@ class PbftReplica(ConsensusEngine):
         for s in old:
             del self.slots[s]
         return len(old)
+
+    def open_batches(self) -> Iterator[RequestBatch]:
+        """Batches of every slot above the stable checkpoint that holds a
+        proposal: committed ones, and on a fresh primary the carried
+        re-proposals (uncarried ones were replaced by null batches)."""
+        for slot in self.slots.values():
+            if slot.preprepare is not None:
+                yield slot.preprepare.request
 
     # ------------------------------------------------------------------
     # view change

@@ -257,6 +257,16 @@ class SystemConfig:
             # Fig. 7 upper-bound mode: the batch-threads are the responders,
             # so with none of them nothing drains the batch queue
             raise ValueError("consensus_enabled=False needs batch_threads >= 1")
+        if not self.consensus_enabled and (
+            self.admission_max_inflight is not None
+            or self.admission_max_per_client is not None
+        ):
+            # the responders answer straight off the batch queue, so no
+            # request passes the admission controller a cap would apply to
+            raise ValueError(
+                "admission caps need consensus_enabled=True "
+                "(the Fig. 7 upper-bound mode admits nothing)"
+            )
 
     # ------------------------------------------------------------------
     @property

@@ -6,7 +6,9 @@ Each replica runs, as simulated threads competing for its CPU cores:
   route them.  At the primary, client requests go to the batch-threads'
   *common queue*; protocol messages go to the worker's queue; checkpoint
   messages to the checkpoint-thread's queue.  Non-primaries forward client
-  requests to the current primary.
+  requests to the current primary and keep them until they execute: a
+  replica that a view change makes primary proposes them at once
+  (``_on_enter_view``) instead of waiting for the clients to retransmit.
 - ``batch-i`` threads (primary): verify client signatures, assemble up to
   ``batch_size`` transactions into a batch, hash the batch string once,
   hand the batch to the consensus engine's ``propose`` and sign the
@@ -17,7 +19,8 @@ Each replica runs, as simulated threads competing for its CPU cores:
   finish consensus out of order (§4.5); the execute-thread consumes them
   in sequence order by waiting exactly for the next sequence number — the
   simulation-level equivalent of parking on queue ``txn_id % QC`` (§4.6).
-  It applies operations to the record store, appends a block certified by
+  It applies operations to the record store (once per client request,
+  however often the request was proposed), appends a block certified by
   the 2f+1 commit signatures, answers clients, and emits checkpoints
   every Δ transactions.
 - ``checkpoint`` thread: collects checkpoint votes; at 2f+1 identical
@@ -65,6 +68,7 @@ from repro.consensus.messages import (
     SpecResponse,
 )
 from repro.flow import AdmissionController, FlowStats
+from repro.flow.admission import RequestKey
 from repro.consensus.zyzzyva import GENESIS_HISTORY, extend_history
 from repro.core.dedup import RequestKeySet
 from repro.crypto.hashing import digest_bytes, digest_cost
@@ -173,6 +177,14 @@ class Replica:
         #: checkpoint sequence -> state digest this replica attested to
         #: (the checkpoint-consistency oracle cross-checks these)
         self.checkpoint_digests: Dict[int, str] = {}
+        #: request keys this replica has executed; a key proposed again is
+        #: skipped at execution (see ``_execute_batch``)
+        self._executed_keys = RequestKeySet()
+        #: executed (sequence, request keys) per batch that executed any,
+        #: kept with ``record_completions`` for the exactly-once oracle
+        self.executed_requests: Optional[
+            List[Tuple[int, Tuple[RequestKey, ...]]]
+        ] = [] if config.record_completions else None
         self.state_digest = digest_bytes(b"initial-state")
         self.exec_history_hash = GENESIS_HISTORY  # Zyzzyva history chain
 
@@ -188,6 +200,10 @@ class Replica:
         # -- primary-side sequencing ----------------------------------------
         #: request keys admitted for batching (retransmissions are dropped)
         self._seen_requests = RequestKeySet()
+        #: client requests this replica forwarded and has not executed, in
+        #: arrival order: a new primary proposes the ones it now leads on
+        #: view entry instead of waiting for the clients' retransmissions
+        self._forwarded: Dict[RequestKey, ClientRequest] = {}
         #: out-of-order ablation: a capacity-1 token gate (§4.5)
         self._consensus_token: Optional[SimQueue] = None
         if not config.out_of_order:
@@ -274,6 +290,9 @@ class Replica:
             # forward to the current primary (client may not know the view)
             self.forwarded_requests += 1
             self._enqueue_output(self._forward_target_for(message), message)
+            self._forwarded.setdefault(
+                (message.sender, message.request_id), message
+            )
             # classic PBFT: adopting a forwarded request arms a probe — if
             # the system makes no progress before it fires, the primary is
             # suspected and a view change begins
@@ -710,6 +729,63 @@ class Replica:
         # counts keeps the admission budget from leaking across views
         if not self.is_primary:
             self.admission.clear_backlog()
+            return
+        if self._forwarded:
+            requests = self._requests_to_carry_over()
+            if requests:
+                self.sim.spawn(
+                    self._carry_over(requests),
+                    name=f"{self.replica_id}.carry-over",
+                )
+
+    def _requests_to_carry_over(self) -> List[ClientRequest]:
+        """Forwarded requests this replica now leads, in arrival order,
+        minus those it executed and those in a batch the engine still
+        holds (committed, or carried into the new view)."""
+        held = RequestKeySet()
+        for batch in self.engine.open_batches():
+            for request in batch.requests:
+                held.add(request.sender, request.request_id)
+        forward_target = self.engine.forward_target
+        executed = self._executed_keys
+        return [
+            request
+            for (sender, request_id), request in self._forwarded.items()
+            if forward_target(sender, request_id) == self.replica_id
+            and not held.contains(sender, request_id)
+            and not executed.contains(sender, request_id)
+        ]
+
+    def _carry_over(self, requests: List[ClientRequest]):
+        """Admit carried-over requests as the input threads admit client
+        requests: admission, sequencing cost, batch queue.  A full
+        admission budget or batch queue ends the pass without a busy-NACK
+        (NACKs would shrink the clients' windows); the clients still
+        retransmit whatever is left."""
+        thread_id = f"{self.replica_id}.input-0"
+        sequence_cost = self.config.work_costs.sequence_assign_ns
+        batch_threads = self.config.batch_threads
+        spans = self.system.spans
+        for request in requests:
+            if not self.is_primary:
+                return  # the view moved on again
+            sender, request_id = request.sender, request.request_id
+            if self._seen_requests.contains(sender, request_id):
+                continue  # a retransmission got here first
+            if self.admission.try_admit(sender) is not None:
+                return
+            self._seen_requests.add(sender, request_id)
+            if spans.enabled:
+                spans.stamp((sender, request_id), "input", self.sim.now)
+            yield self.cpu.run(sequence_cost, thread_id)
+            if not batch_threads:
+                self.work_queue.put_nowait(request, 1)
+            elif self.batch_queue.full():
+                self._seen_requests.discard(sender, request_id)
+                self.admission.release_client(sender)
+                return
+            else:
+                self.batch_queue.put_nowait(request)
 
     # ==================================================================
     # ordered execution (§4.5–§4.6)
@@ -777,9 +853,21 @@ class Replica:
         yield self.cpu.run(cost, thread_id)
 
         # phase 2: mutate everything atomically (one simulated instant) so
-        # a run cut off mid-batch never leaves state ahead of the log
+        # a run cut off mid-batch never leaves state ahead of the log.
+        # Exactly-once: a request this replica already executed (proposed
+        # again in another RCC lane, or re-admitted by a later view's
+        # primary) is charged above but has no effect — every honest
+        # replica skips the same ones, as they execute the same order —
+        # and is answered again.
+        fresh = self._executed_keys.add_requests(batch.requests)
+        txns_executed = batch.txn_count
+        if fresh is not batch.requests:
+            txns_executed = sum(len(request.txns) for request in fresh)
+            ops_executed = sum(
+                txn.op_count for request in fresh for txn in request.txns
+            )
         if config.apply_state:
-            for request in batch.requests:
+            for request in fresh:
                 for txn in request.txns:
                     for op in txn.ops:
                         if op.op_type is OpType.WRITE:
@@ -787,6 +875,14 @@ class Replica:
                         else:
                             self.store.read(op.key)
         self._append_block(action, batch)
+        if self._forwarded:
+            for request in batch.requests:
+                self._forwarded.pop((request.sender, request.request_id), None)
+        if self.executed_requests is not None and fresh:
+            self.executed_requests.append((
+                action.sequence,
+                tuple((request.sender, request.request_id) for request in fresh),
+            ))
         if history_chain:
             # h_n = H(h_{n-1} || d_n)
             self.exec_history_hash = extend_history(
@@ -805,7 +901,7 @@ class Replica:
                 f"digest={str(batch.digest)[:12]}",
             )
         metrics = self.system.metrics
-        metrics.counter("replica_txns_executed").increment(batch.txn_count)
+        metrics.counter("replica_txns_executed").increment(txns_executed)
         metrics.counter("replica_ops_executed").increment(ops_executed)
         # the batch's message and transaction objects return to their
         # pools once executed (§4.8)
@@ -981,6 +1077,7 @@ class Replica:
             snapshot=snapshot,
             snapshot_records=snapshot_records,
             pruned_through=self.chain.pruned_through,
+            executed_keys=self._executed_keys.copy(),
         )
         # building the snapshot costs real CPU proportional to its size
         yield self.cpu.run(
@@ -1009,6 +1106,10 @@ class Replica:
         """f+1 peers agree: install the transferred state."""
         if response.snapshot is not None:
             self.store.restore(response.snapshot)
+        # the adopted log executed requests this replica never saw execute
+        if response.executed_keys is not None:
+            self._executed_keys = response.executed_keys
+        self._forwarded.clear()
         self.executed_log.extend(response.log_slice)
         self.state_digest = response.state_digest
         self.next_exec_sequence = response.executed_sequence + 1
@@ -1087,6 +1188,10 @@ class Replica:
             self._seen_requests.clear()
         if len(self._sequenced_keys) > 4 * self.config.num_clients:
             self._sequenced_keys.clear()
+        # bounds the forwarded cache by what arrived since the last stable
+        # checkpoint; a request dropped here is still retransmitted by
+        # its client
+        self._forwarded.clear()
 
     # ==================================================================
     # Fig. 7 upper-bound mode: no consensus, no ordering

@@ -16,6 +16,10 @@ and reports every violation, not just the first:
 - ``client-replies`` — every completed client request's (sequence, result
   digest) appears in the executed log of some non-byzantine replica: a
   reply quorum can never attest to an order nobody honest executed.
+- ``exactly-once`` — no non-byzantine replica applied one client request
+  ``(sender, request_id)`` twice, however often it was proposed (by two
+  RCC lanes, or again by a new primary carrying forwarded requests over)
+  (:func:`check_exactly_once`).
 - ``checkpoint-consistency`` — replicas that attested a checkpoint at the
   same sequence attested the same state digest, and every stabilised
   checkpoint matches those attestations
@@ -42,7 +46,8 @@ and reports every violation, not just the first:
   replicas agree per (instance, instance sequence) on the committed
   digest — the cross-lane analogue of execution-order safety.
 
-``check_client_replies`` is pure data-in/data-out so it is directly
+``check_client_replies`` and ``check_exactly_once`` are pure
+data-in/data-out so they are directly
 unit-testable and usable outside the fuzzer, matching the standalone
 checkers in :mod:`repro.consensus.safety`.
 """
@@ -59,6 +64,7 @@ from repro.consensus.safety import (
     check_checkpoint_consistency,
 )
 from repro.engines import ENGINES
+from repro.flow.admission import RequestKey
 from repro.flow.invariants import check_flow_invariants
 from repro.fuzz.scenario import PRIMARY_POLICIES
 from repro.storage.blockchain import ChainViolation
@@ -128,6 +134,37 @@ def check_client_replies(
     return checked
 
 
+def check_exactly_once(
+    executed_requests: Mapping[str, Sequence[Tuple[int, Sequence[RequestKey]]]],
+    faulty: Sequence[str] = (),
+) -> int:
+    """No honest replica executes one client request twice.
+
+    ``executed_requests`` maps replica id to its executed (sequence,
+    request keys) records (``Replica.executed_requests``).  Raises
+    :class:`SafetyViolation` naming the first request a non-faulty
+    replica executed at two sequences (or twice in one batch); returns
+    the number of request executions checked.
+    """
+    faulty_set = set(faulty)
+    checked = 0
+    for rid in sorted(executed_requests):
+        if rid in faulty_set:
+            continue
+        first: Dict[RequestKey, int] = {}
+        for sequence, keys in executed_requests[rid]:
+            for key in keys:
+                checked += 1
+                earlier = first.get(key)
+                if earlier is not None:
+                    raise SafetyViolation(
+                        f"replica {rid} executed request {key} twice, "
+                        f"at sequences {earlier} and {sequence}"
+                    )
+                first[key] = sequence
+    return checked
+
+
 # ----------------------------------------------------------------------
 # the bank
 # ----------------------------------------------------------------------
@@ -167,6 +204,18 @@ def run_oracle_bank(
             violations.append(
                 Violation("client-replies", f"{group.name}: {exc}")
             )
+
+    # -- every client request executes at most once per replica -----------
+    try:
+        check_exactly_once(
+            {
+                rid: replica.executed_requests or ()
+                for rid, replica in system.replicas.items()
+            },
+            faulty=tuple(byzantine),
+        )
+    except SafetyViolation as exc:
+        violations.append(Violation("exactly-once", str(exc)))
 
     # -- checkpoint consistency -----------------------------------------
     if not replica_divergence_legal:

@@ -36,7 +36,7 @@ Liveness across lanes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.consensus.base import (
     Action,
@@ -369,6 +369,10 @@ class InstanceCoordinator:
                 }
                 self._advance_frontier(lane)
         return dropped
+
+    def open_batches(self) -> Iterator[RequestBatch]:
+        for instance in self.instances:
+            yield from instance.open_batches()
 
     def absorb_adopted_log(self, log_slice) -> None:
         """State-transfer adoption: fold the adopted (global sequence,

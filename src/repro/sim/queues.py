@@ -142,7 +142,7 @@ class SimQueue:
     # ------------------------------------------------------------------
     def put_nowait(self, item: Any) -> None:
         """Enqueue without blocking (raises if a bounded queue is full)."""
-        if self._full():
+        if self.full():
             raise OverflowError(f"queue {self.name!r} full (capacity={self.capacity})")
         self._enqueue(self.sim, item)
 
@@ -152,7 +152,7 @@ class SimQueue:
         ``producer`` (anything with ``resume(value)``; it is resumed with
         True once the item gets in).  With no producer a full ``block``
         queue raises, as :meth:`put_nowait` does."""
-        if not self._full():
+        if not self.full():
             self._enqueue(self.sim, item)
             return True
         if self.policy == "shed_oldest":
@@ -169,7 +169,7 @@ class SimQueue:
         self._putters.append((producer, item))
         return None
 
-    def _full(self) -> bool:
+    def full(self) -> bool:
         """Whether the queue is at its capacity bound."""
         return self.capacity is not None and len(self._items) >= self.capacity
 
@@ -201,7 +201,7 @@ class SimQueue:
         return None
 
     def _wake_putters(self, sim) -> None:
-        while self._putters and not self._full():
+        while self._putters and not self.full():
             producer, item = self._putters.popleft()
             self._enqueue(sim, item)
             sim.schedule(0, producer.resume, True)

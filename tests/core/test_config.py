@@ -75,6 +75,17 @@ def test_upper_bound_mode_needs_batch_threads():
     assert SystemConfig(batch_threads=0).consensus_enabled
 
 
+@pytest.mark.parametrize(
+    "cap", ["admission_max_inflight", "admission_max_per_client"]
+)
+def test_upper_bound_mode_refuses_admission_caps(cap):
+    # the responders answer straight off the batch queue: no request
+    # passes the admission controller, so a cap would be silently ignored
+    with pytest.raises(ValueError, match="admission caps"):
+        SystemConfig(consensus_enabled=False, **{cap: 4})
+    assert SystemConfig(**{cap: 4}).consensus_enabled
+
+
 def test_with_options_derives_variant():
     base = SystemConfig()
     variant = base.with_options(num_replicas=32, batch_size=500)

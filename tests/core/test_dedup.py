@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.consensus.messages import ClientRequest
+from repro.consensus.base import ExecuteReady
+from repro.consensus.messages import ClientRequest, RequestBatch
 from repro.core import ResilientDBSystem
 from repro.core.dedup import RequestKeySet
 from repro.workloads import Operation, OpType, Transaction
@@ -69,6 +70,75 @@ def test_a_far_off_request_id_costs_one_page():
     assert not keys.contains("c", 4) and not keys.contains("c", 10**12 - 1)
     assert len(keys) == 2
     assert sum(len(page) for page in keys._senders["c"].values()) == 2 * 512
+
+
+def test_a_copy_is_independent_of_its_original():
+    keys = RequestKeySet()
+    keys.add("c", 1)
+    clone = keys.copy()
+    keys.add("c", 2)
+    clone.add("d", 3)
+    assert clone.contains("c", 1) and not clone.contains("c", 2)
+    assert not keys.contains("d", 3)
+    assert (len(keys), len(clone)) == (2, 2)
+
+
+def test_add_requests_returns_the_requests_whose_key_was_new():
+    keys = RequestKeySet()
+    first = (request(request_id=1), request("client1", request_id=1))
+    assert keys.add_requests(first) is first
+    again = (
+        request(request_id=2),
+        request(request_id=1),  # added by the first call
+        request("client1", request_id=2),
+        request("client1", request_id=2),  # twice in one call
+    )
+    fresh = keys.add_requests(again)
+    assert fresh == [again[0], again[2]]
+    assert len(keys) == 4
+
+
+# ----------------------------------------------------------------------
+# exactly-once execution at every replica
+# ----------------------------------------------------------------------
+def test_a_request_proposed_twice_executes_once(small_config):
+    system = ResilientDBSystem(
+        small_config.with_options(record_completions=True)
+    )
+    replica = system.replicas["r1"]
+    writes, answered = [], []
+    store_write = replica.store.write
+    replica.store.write = lambda key, value: (
+        writes.append(key) or store_write(key, value)
+    )
+    respond = replica._respond_to_clients
+
+    def spy_respond(action, batch, thread_id):
+        answered.append([r.request_id for r in batch.requests])
+        return respond(action, batch, thread_id)
+
+    replica._respond_to_clients = spy_respond
+    # request 5 rides in two batches, as when two RCC lanes propose it
+    batches = [
+        RequestBatch((request(request_id=4), request(request_id=5))),
+        RequestBatch((request(request_id=5), request(request_id=6))),
+    ]
+    for sequence, batch in enumerate(batches, start=1):
+        batch.digest = f"d{sequence}"
+        replica._enqueue_execute(
+            ExecuteReady(sequence=sequence, view=0, request=batch)
+        )
+    system.sim.spawn(replica._drain_executions("r1.execute"))
+    system.sim.run()
+    assert [sequence for sequence, _ in replica.executed_log] == [1, 2]
+    assert writes == ["k4", "k5", "k6"]
+    assert replica.executed_requests == [
+        (1, (("client0", 4), ("client0", 5))),
+        (2, (("client0", 6),)),
+    ]
+    # the duplicate is still answered, so a client whose first replies
+    # were lost completes
+    assert answered == [[4, 5], [5, 6]]
 
 
 # ----------------------------------------------------------------------

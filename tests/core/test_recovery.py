@@ -33,6 +33,30 @@ def test_recovered_replica_catches_up(recovery_config):
     system.validate_safety()
 
 
+def test_state_transfer_carries_the_executed_request_keys(recovery_config):
+    system = ResilientDBSystem(
+        recovery_config.with_options(record_completions=True)
+    )
+    system.faults.crash_at("r3", millis(100))
+    system.recover_replica("r3", at_ns=millis(300))
+    system.run()
+    recovered = system.replicas["r3"]
+    assert recovered.recoveries_completed >= 1
+    # r3 executed none of the adopted range itself, yet knows every
+    # request executed there, so it skips the duplicates its peers skip
+    own = {key for _, keys in recovered.executed_requests for key in keys}
+    healthy = system.replicas["r1"].executed_requests
+    adopted = [
+        key
+        for sequence, keys in healthy
+        if sequence <= recovered.executed_watermark
+        for key in keys
+        if key not in own
+    ]
+    assert adopted
+    assert all(recovered._executed_keys.contains(*key) for key in adopted)
+
+
 def test_recovered_state_converges(recovery_config):
     system = ResilientDBSystem(recovery_config)
     system.faults.crash_at("r3", millis(100))

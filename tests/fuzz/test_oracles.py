@@ -13,6 +13,7 @@ from repro.fuzz.oracles import (
     _liveness_applicable,
     _speculative_split_possible,
     check_client_replies,
+    check_exactly_once,
 )
 from repro.fuzz.scenario import FaultEvent, Scenario
 
@@ -55,6 +56,33 @@ def test_any_honest_log_may_vouch():
     # execution is fine (inter-replica agreement is a different oracle)
     logs = {"r0": [(1, "dA")], "r1": [(1, "dB")]}
     assert check_client_replies([(100, 1, "dA"), (101, 1, "dB")], logs) == 2
+
+
+# ----------------------------------------------------------------------
+# exactly-once execution
+# ----------------------------------------------------------------------
+def test_distinct_requests_pass_and_count():
+    executed = {
+        "r0": [(1, [("client0", 0), ("client1", 0)]), (2, [("client0", 1)])],
+        "r1": [(1, [("client0", 0), ("client1", 0)])],
+    }
+    assert check_exactly_once(executed) == 5
+
+
+def test_request_executed_at_two_sequences_is_a_violation():
+    executed = {"r0": [(2, [("client0", 0)]), (9, [("client0", 0)])]}
+    with pytest.raises(SafetyViolation, match="sequences 2 and 9"):
+        check_exactly_once(executed)
+
+
+def test_request_twice_in_one_batch_is_a_violation():
+    with pytest.raises(SafetyViolation, match="twice"):
+        check_exactly_once({"r0": [(4, [("client0", 7), ("client0", 7)])]})
+
+
+def test_faulty_replicas_are_not_held_to_exactly_once():
+    executed = {"r3": [(2, [("client0", 0)]), (9, [("client0", 0)])]}
+    assert check_exactly_once(executed, faulty=("r3",)) == 0
 
 
 # ----------------------------------------------------------------------

@@ -113,3 +113,45 @@ def test_client_steering_matches_the_coordinator_lane(m):
         for request_id in range(0, 60, 7):
             lane = coordinator.steer_instance(group.name, request_id)
             assert group._steer_target(request_id) == system.replica_ids[lane]
+
+
+def test_a_request_admitted_in_two_lanes_executes_once():
+    # a 3 ms retransmit fires before the first execution: the client's
+    # fallback replica is another lane's primary, which admits the
+    # request into its own lane while the first copy is still in flight
+    from collections import Counter
+
+    from repro.fuzz.oracles import check_exactly_once
+
+    system = ResilientDBSystem(
+        rcc_config(
+            num_primaries=3,
+            num_replicas=7,
+            num_clients=12,
+            client_groups=2,
+            ops_per_txn=2,
+            checkpoint_txns=96,
+            ycsb_records=300,
+            warmup=millis(25),
+            measure=millis(30),
+            seed=39,
+            client_retransmit=millis(3),
+            record_completions=True,
+        )
+    )
+    proposed = Counter()
+    for replica in system.replicas.values():
+
+        def spy(digest, batch, propose=replica.engine.propose):
+            proposed.update((r.sender, r.request_id) for r in batch.requests)
+            return propose(digest, batch)
+
+        replica.engine.propose = spy
+    system.run()
+    assert any(count > 1 for count in proposed.values())
+    executed = {
+        rid: replica.executed_requests
+        for rid, replica in system.replicas.items()
+    }
+    assert check_exactly_once(executed) > 0
+    system.validate_safety()
