@@ -80,36 +80,33 @@ class FigureResult:
 
     # ------------------------------------------------------------------
     def format_table(self) -> str:
-        """Render throughput and latency tables like the paper's plots."""
+        """Render throughput and latency tables like the paper's plots.
+
+        Rows are every x any series measured, in first-seen order; each
+        series' value is looked up by x, so a series that skips some x
+        (a single crash point, say) prints ``nan`` on the rows it lacks.
+        """
         lines = [f"== {self.figure_id}: {self.title} =="]
-        xs = self.series[0].xs() if self.series else []
+        by_x = [{point.x: point for point in series.points} for series in self.series]
+        xs = list(dict.fromkeys(x for points in by_x for x in points))
         header = f"{self.x_label:>14} " + " ".join(
             f"{series.name:>22}" for series in self.series
         )
-        lines.append("-- throughput (txns/s) --")
-        lines.append(header)
-        for i, x in enumerate(xs):
-            row = f"{str(x):>14} "
-            for series in self.series:
-                value = (
-                    series.points[i].throughput_txns_per_s
-                    if i < len(series.points)
-                    else float("nan")
-                )
-                row += f" {value / 1e3:>20.1f}K"
-            lines.append(row)
-        lines.append("-- latency (s) --")
-        lines.append(header)
-        for i, x in enumerate(xs):
-            row = f"{str(x):>14} "
-            for series in self.series:
-                value = (
-                    series.points[i].latency_s
-                    if i < len(series.points)
-                    else float("nan")
-                )
-                row += f" {value:>21.4f}"
-            lines.append(row)
+        tables = (
+            ("throughput (txns/s)", " {:>20.1f}K",
+             lambda point: point.throughput_txns_per_s / 1e3),
+            ("latency (s)", " {:>21.4f}", lambda point: point.latency_s),
+        )
+        for title, cell, value in tables:
+            lines += [f"-- {title} --", header]
+            for x in xs:
+                row = f"{str(x):>14} "
+                for points in by_x:
+                    point = points.get(x)
+                    row += cell.format(
+                        float("nan") if point is None else value(point)
+                    )
+                lines.append(row)
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)

@@ -144,6 +144,20 @@ def _forged_proposal(message, digest: str, batch):
     return forged
 
 
+def _split_proposal(replica, message, digest: str, batch) -> List[SendTo]:
+    """Send the first half of ``replica``'s peers the proposal as made and
+    the second half one carrying ``digest`` and ``batch`` instead."""
+    peers = replica.peers
+    half = len(peers) // 2
+    return [
+        SendTo(dst, _forged_proposal(message, message.digest, message.request))
+        for dst in peers[:half]
+    ] + [
+        SendTo(dst, _forged_proposal(message, digest, batch))
+        for dst in peers[half:]
+    ]
+
+
 class EquivocatingPrimary(AdversaryPolicy):
     """As primary, send half the backups a different proposal.
 
@@ -163,31 +177,10 @@ class EquivocatingPrimary(AdversaryPolicy):
             if isinstance(action, Broadcast) and isinstance(
                 message, _PROPOSAL_TYPES
             ):
-                others = [
-                    rid for rid in replica.system.replica_ids
-                    if rid != replica.replica_id
-                ]
-                half = len(others) // 2
-                for dst in others[:half]:
-                    transformed.append(
-                        SendTo(
-                            dst,
-                            _forged_proposal(
-                                message, message.digest, message.request
-                            ),
-                        )
-                    )
-                for dst in others[half:]:
-                    transformed.append(
-                        SendTo(
-                            dst,
-                            _forged_proposal(
-                                message,
-                                "equivocation:" + message.digest,
-                                message.request,
-                            ),
-                        )
-                    )
+                transformed.extend(_split_proposal(
+                    replica, message,
+                    "equivocation:" + message.digest, message.request,
+                ))
             else:
                 transformed.append(action)
         return transformed
@@ -218,29 +211,9 @@ class TwoFacedPrimary(AdversaryPolicy):
             ):
                 alt_batch = RequestBatch(message.request.requests[:-1])
                 alt_batch.digest = digest_bytes(alt_batch.batch_bytes())
-                others = [
-                    rid for rid in replica.system.replica_ids
-                    if rid != replica.replica_id
-                ]
-                half = len(others) // 2
-                for dst in others[:half]:
-                    transformed.append(
-                        SendTo(
-                            dst,
-                            _forged_proposal(
-                                message, message.digest, message.request
-                            ),
-                        )
-                    )
-                for dst in others[half:]:
-                    transformed.append(
-                        SendTo(
-                            dst,
-                            _forged_proposal(
-                                message, alt_batch.digest, alt_batch
-                            ),
-                        )
-                    )
+                transformed.extend(_split_proposal(
+                    replica, message, alt_batch.digest, alt_batch
+                ))
             else:
                 transformed.append(action)
         return transformed
@@ -268,12 +241,7 @@ class DelayedReplica(AdversaryPolicy):
 
     @staticmethod
     def _release(replica, action: Action) -> None:
-        replica.sim.spawn(
-            replica._dispatch(
-                [action], f"{replica.replica_id}.worker", transformed=True
-            ),
-            name=f"{replica.replica_id}.delayed-release",
-        )
+        replica.spawn_dispatch([action], "delayed-release", transformed=True)
 
 
 _POLICIES = {

@@ -34,7 +34,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.sim.clock import NANOS_PER_SEC
 from repro.sim.metrics import LatencyHistogram
 
 #: pipeline hand-offs in order; a span's stamps are a subsequence of this
@@ -144,15 +143,6 @@ class SpanRecorder:
             self.stamp(key, stage, at)
         if stage == "execute":
             del self._by_sequence[sequence]
-
-    def annotate(self, key: SpanKey, name: str, value) -> None:
-        """Attach a non-stage attribute to an open span (e.g. how many
-        busy-nacks the request absorbed before completing).  Attributes
-        are stored as ``attr.<name>`` entries, which the stage machinery
-        ignores; exporters surface them on the finished span."""
-        span = self._open.get(key)
-        if span is not None:
-            span[f"attr.{name}"] = value
 
     def finish(self, key: SpanKey, at: int) -> None:
         span = self._open.pop(key, None)
@@ -283,10 +273,3 @@ def first_divergence(
     if len(ours) != len(theirs):
         return min(len(ours), len(theirs))
     return None
-
-
-def span_seconds(stamps: Dict[str, int]) -> float:
-    """End-to-end duration of one span in seconds (0.0 if unterminated)."""
-    if "submit" not in stamps or "reply" not in stamps:
-        return 0.0
-    return (stamps["reply"] - stamps["submit"]) / NANOS_PER_SEC

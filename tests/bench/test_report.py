@@ -41,6 +41,31 @@ def test_format_table_contains_everything():
     assert "replicas" in table
 
 
+def test_format_table_lines_a_sparse_series_up_by_x():
+    # one crash run at x=2 beside a full sweep, as in fig18
+    figure = FigureResult("fig-sparse", "sparse", "primaries")
+    figure.series.append(Series("full", [
+        SeriesPoint(x, 1000.0 * x, 0.01 * x) for x in (1, 2, 3)
+    ]))
+    figure.series.append(Series("crash", [SeriesPoint(2, 7000.0, 0.07)]))
+    figure.series.append(Series("extra", [SeriesPoint(4, 9000.0, 0.09)]))
+    lines = figure.format_table().splitlines()
+    throughput = lines[3:7]
+    latency = lines[9:13]
+    assert [line.split() for line in throughput] == [
+        ["1", "1.0K", "nanK", "nanK"],
+        ["2", "2.0K", "7.0K", "nanK"],
+        ["3", "3.0K", "nanK", "nanK"],
+        ["4", "nanK", "nanK", "9.0K"],
+    ]
+    assert [line.split() for line in latency] == [
+        ["1", "0.0100", "nan", "nan"],
+        ["2", "0.0200", "0.0700", "nan"],
+        ["3", "0.0300", "nan", "nan"],
+        ["4", "nan", "nan", "0.0900"],
+    ]
+
+
 def test_base_config_defaults_match_paper_regime():
     config = base_config()
     assert config.num_replicas == 16

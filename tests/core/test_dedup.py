@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.consensus.base import ExecuteReady
 from repro.consensus.messages import ClientRequest, RequestBatch
-from repro.core import ResilientDBSystem
+from repro.core import ResilientDBSystem, execution
 from repro.core.dedup import RequestKeySet
 from repro.workloads import Operation, OpType, Transaction
 
@@ -101,7 +101,7 @@ def test_add_requests_returns_the_requests_whose_key_was_new():
 # ----------------------------------------------------------------------
 # exactly-once execution at every replica
 # ----------------------------------------------------------------------
-def test_a_request_proposed_twice_executes_once(small_config):
+def test_a_request_proposed_twice_executes_once(small_config, monkeypatch):
     system = ResilientDBSystem(
         small_config.with_options(record_completions=True)
     )
@@ -111,13 +111,13 @@ def test_a_request_proposed_twice_executes_once(small_config):
     replica.store.write = lambda key, value: (
         writes.append(key) or store_write(key, value)
     )
-    respond = replica._respond_to_clients
+    respond = execution.respond_to_clients
 
-    def spy_respond(action, batch, thread_id):
+    def spy_respond(replica, action, batch, thread_id):
         answered.append([r.request_id for r in batch.requests])
-        return respond(action, batch, thread_id)
+        return respond(replica, action, batch, thread_id)
 
-    replica._respond_to_clients = spy_respond
+    monkeypatch.setattr(execution, "respond_to_clients", spy_respond)
     # request 5 rides in two batches, as when two RCC lanes propose it
     batches = [
         RequestBatch((request(request_id=4), request(request_id=5))),
@@ -125,10 +125,10 @@ def test_a_request_proposed_twice_executes_once(small_config):
     ]
     for sequence, batch in enumerate(batches, start=1):
         batch.digest = f"d{sequence}"
-        replica._enqueue_execute(
-            ExecuteReady(sequence=sequence, view=0, request=batch)
+        execution.enqueue_execute(
+            replica, ExecuteReady(sequence=sequence, view=0, request=batch)
         )
-    system.sim.spawn(replica._drain_executions("r1.execute"))
+    system.sim.spawn(execution.drain_executions(replica, "r1.execute"))
     system.sim.run()
     assert [sequence for sequence, _ in replica.executed_log] == [1, 2]
     assert writes == ["k4", "k5", "k6"]
@@ -142,90 +142,85 @@ def test_a_request_proposed_twice_executes_once(small_config):
 
 
 # ----------------------------------------------------------------------
-# admission at the primary
+# admission at the primary (the rules themselves: tests/core/test_host.py)
 # ----------------------------------------------------------------------
 def test_retransmission_of_an_admitted_request_is_dropped(primary):
     first = request(request_id=7)
-    assert primary._admit_client_request(first)
+    assert primary.admit_client_request(first)
     # the same key again — a client retransmission of an in-flight request
-    assert not primary._admit_client_request(request(request_id=7))
+    assert not primary.admit_client_request(request(request_id=7))
     assert primary.flow.rejected_requests == 0
     # other ids and other senders are unaffected
-    assert primary._admit_client_request(request(request_id=8))
-    assert primary._admit_client_request(request("client1", request_id=7))
+    assert primary.admit_client_request(request(request_id=8))
+    assert primary.admit_client_request(request("client1", request_id=7))
 
 
 def test_queue_rejected_request_is_admitted_again_on_retry(primary):
     message = request(request_id=3)
-    assert primary._admit_client_request(message)
+    assert primary.admit_client_request(message)
     # a bounded queue refused it: admission is undone and the client NACKed
-    primary._reject_request(message, "queue")
+    primary.reject_request(message, "queue")
     assert primary.flow.rejected_requests == 1
-    assert primary._admit_client_request(request(request_id=3))
+    assert primary.flow.nacked_keys == {("client0", 3)}
+    assert primary.admit_client_request(request(request_id=3))
 
 
 def test_request_refused_before_admission_is_admitted_on_retry(primary):
     primary.admission.max_per_client = 1
-    assert primary._admit_client_request(request(request_id=0))
+    assert primary.admit_client_request(request(request_id=0))
     # the per-client budget is full: NACKed, nothing recorded
-    assert not primary._admit_client_request(request(request_id=1))
+    assert not primary.admit_client_request(request(request_id=1))
     assert primary.flow.rejected_requests == 1
-    primary._reject_request(request(request_id=1), "queue", admitted=False)
+    assert not primary.host.was_admitted("client0", 1)
+    # the reply to request 0 frees the budget
     primary.admission.release_client("client0")
-    assert primary._admit_client_request(request(request_id=1))
+    assert primary.admit_client_request(request(request_id=1))
 
 
 def test_shed_request_is_admitted_again_on_retry(primary):
     message = request(request_id=5)
-    assert primary._admit_client_request(message)
-    primary._on_batch_shed(message)
+    assert primary.admit_client_request(message)
+    primary.batch_queue.on_shed(message)
     assert primary.flow.shed_keys == [("client0", 5)]
     assert primary.flow.shed_sequenced == []
-    assert primary._admit_client_request(request(request_id=5))
+    assert primary.admit_client_request(request(request_id=5))
 
 
 def test_shedding_a_sequenced_request_is_recorded_for_the_oracle(primary):
     message = request(request_id=9)
-    assert primary._admit_client_request(message)
-    primary._sequenced_keys.add(message.sender, message.request_id)
-    primary._on_batch_shed(message)
+    assert primary.admit_client_request(message)
+    primary.host.mark_sequenced([message])
+    primary.batch_queue.on_shed(message)
     assert primary.flow.shed_sequenced == [("client0", 9)]
 
 
 # ----------------------------------------------------------------------
-# clearing on a stable checkpoint
+# a forged request must not lock its key (batch-thread and 0B worker)
 # ----------------------------------------------------------------------
-def test_dedup_state_clears_above_four_keys_per_client(primary):
-    limit = 4 * primary.config.num_clients
-    senders = [f"client{i}" for i in range(4)]
-    for request_id in range(limit):
-        sender = senders[request_id % len(senders)]
-        assert primary._admit_client_request(request(sender, request_id))
-        primary._sequenced_keys.add(sender, request_id)
-        primary.admission.release_client(sender)
-    primary._gc_seen_requests(horizon=1)
-    # exactly at the limit: nothing is cleared yet
-    assert len(primary._seen_requests) == limit
-    assert len(primary._sequenced_keys) == limit
-    assert not primary._admit_client_request(request("client0", 0))
-
-    # one key more trips the clear, for both sets
-    assert primary._admit_client_request(request("client0", limit))
-    primary._sequenced_keys.add("client0", limit)
-    primary._gc_seen_requests(horizon=1)
-    assert len(primary._seen_requests) == 0
-    assert len(primary._sequenced_keys) == 0
-    # a cleared key is admitted again, as with the old set
-    assert primary._admit_client_request(request("client0", 0))
-
-
-def test_discarded_keys_do_not_count_towards_the_clear(primary):
-    limit = 4 * primary.config.num_clients
-    for request_id in range(limit + 1):
-        message = request(request_id=request_id)
-        assert primary._admit_client_request(message)
-        primary.admission.release_client("client0")
-    primary._reject_request(request(request_id=0), "queue")
-    primary._gc_seen_requests(horizon=1)
-    assert len(primary._seen_requests) == limit
-    assert primary._seen_requests.contains("client0", limit)
+@pytest.mark.parametrize("batch_threads", [1, 0])
+def test_a_forged_request_does_not_block_the_genuine_one(
+    small_config, batch_threads
+):
+    system = ResilientDBSystem(
+        small_config.with_options(
+            real_auth_tokens=True, batch_threads=batch_threads
+        )
+    )
+    primary = system.replicas["r0"]
+    scheme = system.client_scheme
+    # client1 signs a request carrying client0's key
+    forged = request("client0", request_id=7)
+    forged.auth, _ = scheme.authenticate(
+        forged.signable_bytes(), "client1", ["r0"]
+    )
+    assert primary.admit_client_request(forged)
+    primary.queue_sequenced(forged)
+    primary.start()
+    system.sim.run(until=system.sim.now + 5_000_000)
+    assert primary.invalid_messages == 1
+    assert not primary.host.was_admitted("client0", 7)
+    genuine = request("client0", request_id=7)
+    genuine.auth, _ = scheme.authenticate(
+        genuine.signable_bytes(), "client0", ["r0"]
+    )
+    assert primary.admit_client_request(genuine)

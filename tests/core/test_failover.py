@@ -8,7 +8,7 @@ next backed-off retransmission.
 
 import pytest
 
-from repro.consensus.messages import ClientRequest, RequestBatch
+from repro.consensus.messages import ClientRequest
 from repro.core import ResilientDBSystem, SystemConfig
 from repro.flow.invariants import check_flow_invariants
 from repro.fuzz.oracles import check_exactly_once
@@ -43,7 +43,7 @@ class _Spy:
         self.arrivals = []
         self.entered = []
         self.proposals = []
-        admit = replica._admit_client_request
+        admit = replica.admit_client_request
         enter = replica._on_enter_view
         propose = replica.engine.propose
 
@@ -52,7 +52,9 @@ class _Spy:
             return admit(message)
 
         def spy_enter(view):
-            self.entered.append((self.sim.now, len(replica._forwarded)))
+            self.entered.append(
+                (self.sim.now, len(replica.host.forwarded_keys()))
+            )
             return enter(view)
 
         def spy_propose(digest, batch):
@@ -62,7 +64,7 @@ class _Spy:
             self.proposals.append((self.sim.now, lane, keys))
             return proposal, actions
 
-        replica._admit_client_request = spy_admit
+        replica.admit_client_request = spy_admit
         replica._on_enter_view = spy_enter
         replica.engine.propose = spy_propose
 
@@ -107,7 +109,7 @@ def test_carry_over_sends_no_busy_nack_when_admission_is_full():
     replica.start()  # r1 alone: no client traffic, no peers
     requests = [ClientRequest("client0", i, ()) for i in range(5)]
     for request in requests:
-        replica._forwarded[_key(request)] = request
+        replica.host.remember_forwarded(request)
     replica.engine.view = 1  # r1 leads view 1
     replica._on_enter_view(1)
     system.sim.run(until=millis(5))
@@ -116,24 +118,9 @@ def test_carry_over_sends_no_busy_nack_when_admission_is_full():
     assert replica.flow.rejected_requests == 0
     assert replica.batch_queue.enqueued_total == 2
     assert all(
-        replica._seen_requests.contains("client0", i) == (i < 2)
-        for i in range(5)
+        replica.host.was_admitted("client0", i) == (i < 2) for i in range(5)
     )
     assert check_flow_invariants(system) == []
-
-
-def test_carry_over_skips_executed_and_held_requests():
-    system = ResilientDBSystem(_crash_config(real_auth_tokens=False))
-    replica = system.replicas["r1"]
-    executed, held, fresh = (ClientRequest("client0", i, ()) for i in range(3))
-    for request in (executed, held, fresh):
-        replica._forwarded[_key(request)] = request
-    replica._executed_keys.add_requests([executed])
-    replica.engine.view = 1  # r1 leads view 1 and holds a batch in it
-    batch = RequestBatch((held,))
-    batch.digest = "d-held"
-    replica.engine.make_preprepare(1, batch.digest, batch)
-    assert replica._requests_to_carry_over() == [fresh]
 
 
 def test_failover_under_overload_keeps_flow_invariants():
@@ -163,11 +150,11 @@ def test_cache_is_empty_after_the_next_stable_checkpoint():
     after_gc = []
     for replica in system.replicas.values():
 
-        def spy_gc(horizon, replica=replica, gc=replica._gc_seen_requests):
-            gc(horizon)
-            after_gc.append((system.sim.now, len(replica._forwarded)))
+        def spy_gc(host=replica.host, gc=replica.host.gc):
+            gc()
+            after_gc.append((system.sim.now, len(host.forwarded_keys())))
 
-        replica._gc_seen_requests = spy_gc
+        replica.host.gc = spy_gc
     spy = _Spy(system, "r1")
     system.run()
     entered_at, cached = spy.entered[0]
@@ -179,7 +166,7 @@ def test_cache_is_empty_after_the_next_stable_checkpoint():
         executed = {
             key for _, keys in replica.executed_requests for key in keys
         }
-        assert not executed & set(replica._forwarded)
+        assert not executed & set(replica.host.forwarded_keys())
 
 
 def test_rcc_lane1_crash_reproposes_cached_requests_on_the_new_lane_primary():
@@ -216,4 +203,4 @@ def test_fault_free_runs_cache_nothing(engine):
     system.run()
     for replica in system.replicas.values():
         assert replica.forwarded_requests == 0
-        assert not replica._forwarded
+        assert not replica.host.forwarded_keys()

@@ -104,7 +104,7 @@ def test_admitting_requests_allocates_no_object_per_request(rcc_system):
 
     def admit():
         for message in requests:
-            assert primary._admit_client_request(message)
+            assert primary.admit_client_request(message)
 
     growth = _traced_growth(admit)
     # a set of (sender, id) tuples costs ~90 B per request; the bitmaps

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core import ResilientDBSystem, SystemConfig
+from repro.consensus.messages import StateTransferResponse
+from repro.core import ResilientDBSystem, SystemConfig, recovery
 from repro.sim.clock import millis, seconds
 
 
-@pytest.fixture
-def recovery_config():
+def _recovery_config() -> SystemConfig:
     return SystemConfig(
         num_replicas=4,
         num_clients=48,
@@ -20,11 +20,24 @@ def recovery_config():
     )
 
 
-def test_recovered_replica_catches_up(recovery_config):
-    system = ResilientDBSystem(recovery_config)
+@pytest.fixture
+def recovery_config():
+    return _recovery_config()
+
+
+@pytest.fixture(scope="module")
+def recovered_run():
+    """One run of the unmodified deployment, r3 crashed at 100 ms and
+    healed at 300 ms, shared by the tests that only read its outcome."""
+    system = ResilientDBSystem(_recovery_config())
     system.faults.crash_at("r3", millis(100))
     system.recover_replica("r3", at_ns=millis(300))
-    system.run()
+    result = system.run()
+    return system, result
+
+
+def test_recovered_replica_catches_up(recovered_run):
+    system, _result = recovered_run
     recovered = system.replicas["r3"]
     healthy = system.replicas["r1"]
     assert recovered.recoveries_completed >= 1
@@ -54,14 +67,11 @@ def test_state_transfer_carries_the_executed_request_keys(recovery_config):
         if key not in own
     ]
     assert adopted
-    assert all(recovered._executed_keys.contains(*key) for key in adopted)
+    assert all(recovered.host.was_executed(*key) for key in adopted)
 
 
-def test_recovered_state_converges(recovery_config):
-    system = ResilientDBSystem(recovery_config)
-    system.faults.crash_at("r3", millis(100))
-    system.recover_replica("r3", at_ns=millis(300))
-    system.run()
+def test_recovered_state_converges(recovered_run):
+    system, _result = recovered_run
     recovered = system.replicas["r3"]
     healthy = system.replicas["r1"]
     # identical executed prefixes imply identical digests position-wise
@@ -71,11 +81,8 @@ def test_recovered_state_converges(recovery_config):
     recovered.chain.validate()
 
 
-def test_recovery_counter_in_metrics(recovery_config):
-    system = ResilientDBSystem(recovery_config)
-    system.faults.crash_at("r3", millis(100))
-    system.recover_replica("r3", at_ns=millis(300))
-    system.run()
+def test_recovery_counter_in_metrics(recovered_run):
+    system, _result = recovered_run
     # warmup reset happens at 50ms, recovery at 300ms: counted
     assert system.metrics.counter("recoveries").value >= 1
 
@@ -92,11 +99,8 @@ def test_trace_records_recovery_and_checkpoints(recovery_config):
     assert {record.node for record in checkpoints} == set(system.replica_ids)
 
 
-def test_throughput_survives_crash_and_recovery(recovery_config):
-    system = ResilientDBSystem(recovery_config)
-    system.faults.crash_at("r3", millis(100))
-    system.recover_replica("r3", at_ns=millis(300))
-    result = system.run()
+def test_throughput_survives_crash_and_recovery(recovered_run):
+    _system, result = recovered_run
     assert result.completed_requests > 100
 
 
@@ -104,25 +108,21 @@ def test_healthy_replicas_ignore_stale_responses(recovery_config):
     """A state response offering less than we have is discarded."""
     system = ResilientDBSystem(recovery_config)
     replica = system.replicas["r1"]
-    from repro.consensus.messages import StateTransferResponse
-
-    replica._recovering = True
+    replica.recovering = True
     replica.next_exec_sequence = 100
     stale = StateTransferResponse(
         "r2", executed_sequence=5, state_digest="d", log_slice=(),
         blocks=(), snapshot=None, snapshot_records=0, pruned_through=0,
     )
-    replica._absorb_state_response(stale)
-    assert replica._recovering  # not adopted
+    recovery.absorb_state_response(replica, stale)
+    assert replica.recovering  # not adopted
     assert replica.next_exec_sequence == 100
 
 
 def test_adoption_requires_f_plus_1_matching_offers(recovery_config):
     system = ResilientDBSystem(recovery_config)
     replica = system.replicas["r1"]
-    from repro.consensus.messages import StateTransferResponse
-
-    replica._recovering = True
+    replica.recovering = True
 
     def offer(sender, digest):
         return StateTransferResponse(
@@ -131,30 +131,31 @@ def test_adoption_requires_f_plus_1_matching_offers(recovery_config):
             blocks=(), snapshot=None, snapshot_records=0, pruned_through=0,
         )
 
-    replica._absorb_state_response(offer("r2", "digestA"))
-    assert replica._recovering  # one offer is not enough (f=1 -> need 2)
-    replica._absorb_state_response(offer("r3", "digestB"))
-    assert replica._recovering  # conflicting digests never combine
-    replica._absorb_state_response(offer("r0", "digestA"))
-    assert not replica._recovering
+    recovery.absorb_state_response(replica, offer("r2", "digestA"))
+    assert replica.recovering  # one offer is not enough (f=1 -> need 2)
+    recovery.absorb_state_response(replica, offer("r3", "digestB"))
+    assert replica.recovering  # conflicting digests never combine
+    recovery.absorb_state_response(replica, offer("r0", "digestA"))
+    assert not replica.recovering
     assert replica.next_exec_sequence == 51
 
 
 def test_recovered_store_matches_peers_and_snapshot_counts_the_table(
-    recovery_config,
+    recovery_config, monkeypatch,
 ):
     # a table large enough that the run writes only a fraction of it
     config = recovery_config.with_options(ycsb_records=100_000)
     system = ResilientDBSystem(config)
     recovered = system.replicas["r3"]
     adopted = []
-    adopt = recovered._adopt_state
+    adopt = recovery.adopt_state
 
-    def record_adoption(response):
-        adopt(response)
-        adopted.append((response.snapshot_records, recovered.store.size()))
+    def record_adoption(replica, response):
+        adopt(replica, response)
+        if replica is recovered:
+            adopted.append((response.snapshot_records, recovered.store.size()))
 
-    recovered._adopt_state = record_adoption
+    monkeypatch.setattr(recovery, "adopt_state", record_adoption)
     system.faults.crash_at("r3", millis(100))
     system.recover_replica("r3", at_ns=millis(300))
     system.run()

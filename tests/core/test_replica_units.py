@@ -4,7 +4,7 @@ import pytest
 
 from repro.consensus.base import ExecuteReady
 from repro.consensus.messages import ClientRequest, RequestBatch, make_null_batch
-from repro.core import ResilientDBSystem
+from repro.core import ResilientDBSystem, execution, stages
 from repro.workloads import Operation, OpType, Transaction
 
 
@@ -30,8 +30,8 @@ def make_batch(txns=3):
 def test_output_queue_routing_is_stable(system):
     replica = system.replicas["r0"]
     before = [queue.enqueued_total for queue in replica.output_queues]
-    replica._enqueue_output("r1", object())
-    replica._enqueue_output("r1", object())
+    replica.enqueue_output("r1", object())
+    replica.enqueue_output("r1", object())
     after = [queue.enqueued_total for queue in replica.output_queues]
     # both messages landed on the same queue (per-destination affinity)
     deltas = [b - a for a, b in zip(before, after)]
@@ -41,12 +41,14 @@ def test_output_queue_routing_is_stable(system):
 def test_enqueue_execute_dedupes(system):
     replica = system.replicas["r0"]
     action = ExecuteReady(sequence=5, view=0, request=make_batch())
-    replica._enqueue_execute(action)
-    replica._enqueue_execute(action)
+    execution.enqueue_execute(replica, action)
+    execution.enqueue_execute(replica, action)
     assert list(replica.exec_pending) == [5]
     # already-executed sequences are ignored too
     replica.next_exec_sequence = 10
-    replica._enqueue_execute(ExecuteReady(sequence=7, view=0, request=make_batch()))
+    execution.enqueue_execute(
+        replica, ExecuteReady(sequence=7, view=0, request=make_batch())
+    )
     assert 7 not in replica.exec_pending
 
 
@@ -61,9 +63,10 @@ def test_digest_cost_per_batch_cheaper_than_per_request(system):
         for i in range(10)
     )
     batch = RequestBatch(requests)
-    per_batch = replica._digest_cost_for(batch)
-    replica.config = replica.config.with_options(per_request_digests=True)
-    per_request = replica._digest_cost_for(batch)
+    per_batch = stages.batch_digest_cost(replica.config, batch)
+    per_request = stages.batch_digest_cost(
+        replica.config.with_options(per_request_digests=True), batch
+    )
     assert per_request > per_batch
 
 
@@ -92,7 +95,7 @@ def test_current_primary_tracks_engine_view(system):
 
 
 @pytest.mark.parametrize("batch_threads", [1, 0])
-def test_batch_fill_counts_transactions(small_config, batch_threads):
+def test_batch_fill_counts_transactions(small_config, batch_threads, monkeypatch):
     """Batches close on transactions, not requests: three-transaction
     requests pair up under batch_size=6, in the batch-thread and in the 0B
     worker alike; a lone leftover goes out at the fill deadline."""
@@ -101,11 +104,11 @@ def test_batch_fill_counts_transactions(small_config, batch_threads):
     replica = system.replicas["r0"]
     proposed = []
 
-    def record(requests, thread_id):
+    def record(replica, requests, thread_id):
         proposed.append([request.request_id for request in requests])
         yield 0
 
-    replica._form_and_propose = record
+    monkeypatch.setattr(stages, "form_and_propose", record)
     for i in range(5):
         request = ClientRequest(
             "c", i,
@@ -119,9 +122,9 @@ def test_batch_fill_counts_transactions(small_config, batch_threads):
         else:
             replica.work_queue.put_nowait(request, 1)
     if batch_threads:
-        system.sim.spawn(replica._batch_loop(0))
+        system.sim.spawn(stages.batch_loop(replica, 0))
     else:
-        system.sim.spawn(replica._worker_loop())
+        system.sim.spawn(stages.worker_loop(replica))
     system.sim.run()
     assert proposed == [[0, 1], [2, 3], [4]]
 

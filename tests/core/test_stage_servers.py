@@ -9,7 +9,7 @@ import pytest
 
 from repro.consensus.messages import Checkpoint, ClientRequest, Prepare
 from repro.core import ResilientDBSystem
-from repro.core.replica import _InputStage, _OutputStage
+from repro.core.stages import InputStage, OutputStage
 from repro.sim.process import ProcessFailure
 from repro.workloads import Operation, OpType, Transaction
 
@@ -28,7 +28,7 @@ def test_blocked_input_stage_parks_and_resumes_in_fifo_order(small_config):
     requests = [make_request(i) for i in range(5)]
     for request in requests:
         primary.endpoint.inbox.put_nowait(request)
-    _InputStage(primary, 0)
+    InputStage(primary, 0)
     system.sim.run()
     # one request fills the batch queue, the next parks the stage, and
     # the rest wait in the inbox behind it
@@ -58,7 +58,7 @@ def test_input_stage_charges_dispatch_and_sequencing(small_config):
         replica = system.replicas[replica_id]
         for message in messages:
             replica.endpoint.inbox.put_nowait(message)
-        _InputStage(replica, 0)
+        InputStage(replica, 0)
     system.sim.run()
     primary, backup = system.replicas["r0"], system.replicas["r1"]
     # the primary sequences the three client requests ...
@@ -86,11 +86,11 @@ def test_output_stages_deliver_in_enqueue_order(small_config, monkeypatch):
     for i in range(12):
         dst = f"r{1 + i % 3}"
         message = Prepare("r0", 0, i, "d")
-        replica._enqueue_output(dst, message)
+        replica.enqueue_output(dst, message)
         index = replica.output_queues.index(replica._output_queue_for[dst])
         queued[index].append((dst, message))
     for index in queued:
-        _OutputStage(replica, index)
+        OutputStage(replica, index)
     system.sim.run()
     for index, pairs in queued.items():
         delivered = [
@@ -108,7 +108,7 @@ def test_input_stage_failure_names_the_thread(small_config):
     system = ResilientDBSystem(small_config)
     replica = system.replicas["r2"]
     replica.endpoint.inbox.put_nowait(object())  # has no ``kind``
-    _InputStage(replica, 1)
+    InputStage(replica, 1)
     with pytest.raises(ProcessFailure, match=r"r2\.input-1") as excinfo:
         system.sim.run()
     assert isinstance(excinfo.value.original, AttributeError)
@@ -118,7 +118,7 @@ def test_output_stage_failure_names_the_thread(small_config):
     system = ResilientDBSystem(small_config)
     replica = system.replicas["r1"]
     replica.output_queues[0].put_nowait("not a (dst, message) pair")
-    _OutputStage(replica, 0)
+    OutputStage(replica, 0)
     with pytest.raises(ProcessFailure, match=r"r1\.output-0") as excinfo:
         system.sim.run()
     assert isinstance(excinfo.value.original, ValueError)
