@@ -20,12 +20,13 @@ Subpackages:
 - :mod:`repro.bench` — one experiment per paper figure.
 """
 
-from repro.core.config import SystemConfig, WorkCosts
+from repro.core.config import WORK_COSTS, SystemConfig, WorkCosts
 from repro.core.system import ExperimentResult, ResilientDBSystem
 
 __version__ = "1.0.0"
 
 __all__ = [
+    "WORK_COSTS",
     "ExperimentResult",
     "ResilientDBSystem",
     "SystemConfig",

@@ -63,7 +63,7 @@ class ZyzzyvaClientGroup(ClientGroup):
                     tuple(sorted(responders)[:commit_needed]),
                 )
                 if self.config.real_auth_tokens:
-                    certificate.auth, _ = self.system.client_scheme.authenticate(
+                    certificate.auth = self.system.client_scheme.authenticate(
                         certificate.signable_bytes(), self.name,
                         list(self.system.replica_ids),
                     )

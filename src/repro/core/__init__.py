@@ -14,10 +14,11 @@ storage, consensus engines) into the system of the paper's §4:
   experiment runner producing :class:`~repro.core.system.ExperimentResult`.
 """
 
-from repro.core.config import SystemConfig, WorkCosts
+from repro.core.config import WORK_COSTS, SystemConfig, WorkCosts
 from repro.core.system import ExperimentResult, ResilientDBSystem
 
 __all__ = [
+    "WORK_COSTS",
     "ExperimentResult",
     "ResilientDBSystem",
     "SystemConfig",

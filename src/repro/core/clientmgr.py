@@ -146,7 +146,7 @@ class ClientGroup:
         request = ClientRequest(self.name, request_id, txns)
         target = self._steer_target(request_id)
         if config.real_auth_tokens:
-            request.auth, _ = self.system.client_scheme.authenticate(
+            request.auth = self.system.client_scheme.authenticate(
                 request.signable_bytes(), self.name, [target]
             )
         pending = PendingRequest(

@@ -4,18 +4,20 @@ Defaults reproduce the paper's standard setup (§5.1): PBFT, batches of 100
 transactions, checkpoints every 10K transactions, ED25519 between clients
 and replicas, CMAC+AES between replicas, in-memory storage, 8-core replica
 machines, one worker-thread, one execute-thread and two batch-threads.
+
+Prices are not knobs: the pipeline's work items are :data:`WORK_COSTS`
+here, crypto is :data:`~repro.crypto.costs.CRYPTO_COSTS` and record
+access is :data:`~repro.storage.base.STORAGE_COSTS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.schemes import SchemeName
 from repro.engines import ENGINES
 from repro.sim.clock import millis, seconds
-from repro.storage.base import StorageCosts
 from repro.storage.blockchain import CertificationMode
 
 
@@ -23,7 +25,7 @@ from repro.storage.blockchain import CertificationMode
 class WorkCosts:
     """Simulated CPU nanoseconds for non-crypto pipeline work items.
 
-    Calibrated jointly with :class:`~repro.crypto.costs.CryptoCosts` so the
+    Calibrated jointly with :data:`~repro.crypto.costs.CRYPTO_COSTS` so the
     standard configuration reproduces the paper's headline throughput
     (§5, ~175K txns/s at 32 replicas on 8 cores) and per-thread saturation
     pattern (Fig. 9).  See EXPERIMENTS.md for the calibration record.
@@ -56,6 +58,13 @@ class WorkCosts:
     output_send_ns: int = 1_500
     #: checkpoint-thread: processing one checkpoint vote
     checkpoint_vote_ns: int = 2_000
+    #: worker-thread: copying one record into a state-transfer snapshot
+    snapshot_record_ns: int = 50
+
+
+#: The calibration every deployment charges: each stage reads its work
+#: items here, where it charges the CPU.
+WORK_COSTS = WorkCosts()
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,6 @@ class SystemConfig:
     batch_threads: int = 2  # "B" in Fig. 8; 0 = worker does batching
     execute_threads: int = 1  # "E" in Fig. 8; 0 = worker executes inline
     input_threads: int = 3  # 1 client + 2 replica collectors (§4.1)
-    output_threads: int = 2
 
     # -- workload (§5.1) -------------------------------------------------
     num_clients: int = 32_000
@@ -197,11 +205,6 @@ class SystemConfig:
     #: :mod:`repro.obs.sampler`
     sample_interval: Optional[int] = None
 
-    # -- cost models ---------------------------------------------------------
-    work_costs: WorkCosts = field(default_factory=WorkCosts)
-    crypto_costs: CryptoCosts = field(default_factory=lambda: DEFAULT_COSTS)
-    storage_costs: StorageCosts = field(default_factory=StorageCosts)
-
     # ------------------------------------------------------------------
     def __post_init__(self):
         if self.protocol not in ENGINES:
@@ -222,8 +225,8 @@ class SystemConfig:
             raise ValueError("client_groups must be in [1, num_clients]")
         if self.storage_backend not in ("memory", "sqlite"):
             raise ValueError(f"unknown storage backend {self.storage_backend!r}")
-        if self.input_threads < 1 or self.output_threads < 1:
-            raise ValueError("need at least one input and one output thread")
+        if self.input_threads < 1:
+            raise ValueError("need at least one input thread")
         if self.batch_threads < 0 or self.execute_threads < 0:
             raise ValueError("thread counts must be >= 0")
         if self.execute_threads > 1:

@@ -26,6 +26,7 @@ from repro.consensus.messages import (
     Checkpoint, ClientResponse, RequestBatch, SpecResponse,
 )
 from repro.consensus.zyzzyva import extend_history
+from repro.core.config import WORK_COSTS
 from repro.core.host import apply_operations, execution_charge
 from repro.crypto.hashing import digest_bytes, digest_cost
 from repro.sim.events import SimEvent
@@ -68,7 +69,6 @@ def drain_executions(replica, thread_id: str):
 
 def execute_batch(replica, action: ExecuteReady, thread_id: str):
     config = replica.config
-    costs = config.work_costs
     batch: RequestBatch = action.request
     # execution is in order, so this releases every consensus instance at
     # or below the sequence from the admission budget
@@ -76,15 +76,15 @@ def execute_batch(replica, action: ExecuteReady, thread_id: str):
 
     # phase 1: charge all CPU up front
     cost, ops_executed = execution_charge(config, batch.requests)
-    cost += costs.execute_fixed_ns
+    cost += WORK_COSTS.execute_fixed_ns
     if config.certification is CertificationMode.PREV_HASH:
         # traditional chaining: hash the previous block (the costly
         # design that §4.6's commit-certificate blocks avoid)
-        cost += digest_cost(256, config.crypto_costs)
-    cost += costs.block_create_ns
+        cost += digest_cost(256)
+    cost += WORK_COSTS.block_create_ns
     history_chain = replica.engine.history_chain
     if history_chain:
-        cost += digest_cost(96, config.crypto_costs)  # history extension
+        cost += digest_cost(96)  # history extension
     yield replica.cpu.run(cost, thread_id)
 
     # phase 2: mutate everything atomically (one simulated instant) so a
@@ -173,7 +173,7 @@ def append_block(replica, action: ExecuteReady, batch: RequestBatch) -> None:
 
 def respond_to_clients(replica, action, batch: RequestBatch, thread_id: str):
     """One response message per client group with requests in the batch."""
-    response_ns = replica.config.work_costs.response_create_ns
+    response_ns = WORK_COSTS.response_create_ns
     by_group: Dict[str, List[int]] = {}
     for request in batch.requests:
         by_group.setdefault(request.sender, []).append(request.request_id)
@@ -201,7 +201,7 @@ def respond_to_clients(replica, action, batch: RequestBatch, thread_id: str):
 def emit_checkpoint(replica, sequence: int, thread_id: str):
     config = replica.config
     replica.checkpoint_digests[sequence] = replica.state_digest
-    yield replica.cpu.run(digest_cost(4096, config.crypto_costs), thread_id)
+    yield replica.cpu.run(digest_cost(4096), thread_id)
     message = Checkpoint(
         replica.replica_id,
         sequence,
@@ -219,7 +219,7 @@ def emit_checkpoint(replica, sequence: int, thread_id: str):
 
 def checkpoint_loop(replica):
     thread_id = f"{replica.replica_id}.checkpoint"
-    vote_ns = replica.config.work_costs.checkpoint_vote_ns
+    vote_ns = WORK_COSTS.checkpoint_vote_ns
     scheme = replica.system.replica_scheme
     while True:
         message = yield replica.checkpoint_queue.get()
@@ -288,7 +288,7 @@ def upper_bound_loop(replica, thread_id: str):
         metrics = replica.system.metrics
         metrics.counter("replica_txns_executed").increment(len(request.txns))
         metrics.counter("replica_ops_executed").increment(ops)
-        yield replica.cpu.run(config.work_costs.response_create_ns, thread_id)
+        yield replica.cpu.run(WORK_COSTS.response_create_ns, thread_id)
         yield from replica.sign_and_queue(
             message, [request.sender], thread_id, scheme=client_scheme,
         )

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.config import WORK_COSTS
 from repro.core.dedup import RequestKeySet
 from repro.flow.admission import AdmissionController, RequestKey
+from repro.storage.base import STORAGE_COSTS
 from repro.workloads.transactions import OpType
 
 #: :meth:`HostRules.admit`'s verdict for a retransmission of a request
@@ -134,10 +136,10 @@ class HostRules:
 
 def execution_charge(config, requests: Iterable) -> Tuple[int, int]:
     """``(ns, ops)``: execute-thread CPU for ``requests``' operations, from
-    the cost table alone (per-op work plus a backend read or write), and
+    the price lists alone (per-op work plus a backend read or write), and
     how many there are."""
-    read_ns, write_ns = config.storage_costs.op_costs(config.storage_backend)
-    op_ns = config.work_costs.execute_op_ns
+    read_ns, write_ns = STORAGE_COSTS.op_costs(config.storage_backend)
+    op_ns = WORK_COSTS.execute_op_ns
     cost = ops = 0
     for request in requests:
         for txn in request.txns:

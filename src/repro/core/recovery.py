@@ -10,6 +10,7 @@ healthy replica's worker answers with :func:`serve_state_transfer`.
 from __future__ import annotations
 
 from repro.consensus.messages import StateTransferRequest, StateTransferResponse
+from repro.core.config import WORK_COSTS
 from repro.sim.events import Timeout
 
 
@@ -74,7 +75,8 @@ def serve_state_transfer(replica, message, thread_id: str):
     )
     # building the snapshot costs real CPU proportional to its size
     yield replica.cpu.run(
-        replica.config.work_costs.execute_op_ns + snapshot_records * 50,
+        WORK_COSTS.execute_op_ns
+        + snapshot_records * WORK_COSTS.snapshot_record_ns,
         thread_id,
     )
     yield from replica.sign_and_queue(

@@ -29,6 +29,7 @@ from repro.consensus.base import (
 from repro.consensus.messages import BusyNack, ClientRequest
 from repro.consensus.zyzzyva import GENESIS_HISTORY
 from repro.core import execution, recovery, stages
+from repro.core.config import WORK_COSTS
 from repro.core.host import DUPLICATE, HostRules
 from repro.crypto.hashing import digest_bytes
 from repro.engines import ENGINES
@@ -99,7 +100,7 @@ class Replica:
         self.checkpoint_queue = SimQueue(self.sim, f"{replica_id}.ckpt-q")
         self.output_queues = [
             SimQueue(self.sim, f"{replica_id}.out-q{i}")
-            for i in range(config.output_threads)
+            for i in range(stages.OUTPUT_THREADS)
         ]
         #: destination -> its output queue (a pure function of the name)
         self._output_queue_for: Dict[str, SimQueue] = {}
@@ -112,9 +113,9 @@ class Replica:
 
         # -- durable state ------------------------------------------------
         if config.storage_backend == "memory":
-            self.store = InMemoryKVStore(config.storage_costs)
+            self.store = InMemoryKVStore()
         else:
-            self.store = SqliteKVStore(config.storage_costs)
+            self.store = SqliteKVStore()
         self.chain = Blockchain(
             first_primary=replica_ids[0],
             mode=config.certification,
@@ -192,7 +193,7 @@ class Replica:
                 spawn(execution.execute_loop(self), name=f"{name}.execute")
             if self.engine.num_instances > 1:
                 spawn(stages.balance_loop(self), name=f"{name}.balance")
-        for i in range(config.output_threads):
+        for i in range(stages.OUTPUT_THREADS):
             stages.OutputStage(self, i)
 
     def begin_recovery(self) -> None:
@@ -300,7 +301,7 @@ class Replica:
         The verify cost is the caller's to charge, so this never yields."""
         if not self.config.real_auth_tokens:
             return True
-        ok, _ = scheme.check(
+        ok = scheme.check(
             message.signable_bytes(), message.auth, message.sender,
             self.replica_id,
         )
@@ -363,7 +364,7 @@ class Replica:
             scheme.sign_cost(message.wire_bytes(), len(receivers)), thread_id
         )
         if self.config.real_auth_tokens:
-            message.auth, _ = scheme.authenticate(
+            message.auth = scheme.authenticate(
                 message.signable_bytes(), self.replica_id, receivers
             )
         for dst in receivers:
@@ -441,7 +442,7 @@ class Replica:
         would shrink the clients' windows); the clients still retransmit
         whatever is left."""
         thread_id = f"{self.replica_id}.input-0"
-        sequence_cost = self.config.work_costs.sequence_assign_ns
+        sequence_cost = WORK_COSTS.sequence_assign_ns
         host = self.host
         spans = self.system.spans
         for request in requests:

@@ -28,6 +28,7 @@ from typing import List
 from repro.consensus.base import ProposalError
 from repro.consensus.messages import ClientRequest, RequestBatch
 from repro.core import execution, recovery
+from repro.core.config import WORK_COSTS
 from repro.crypto.hashing import digest_bytes, digest_cost
 from repro.net.message import Message
 from repro.sim.clock import millis
@@ -39,6 +40,8 @@ from repro.sim.process import Continuation
 #: fill.  (Without it, medium loads degenerate into near-empty batches and
 #: consensus overhead explodes.)
 BATCH_FILL_TIMEOUT = millis(2)
+#: output-threads per replica, each draining its own send queue (§4.1)
+OUTPUT_THREADS = 2
 #: how often an RCC lane leader runs its balance pass, committing
 #: null-batch skip certificates for lanes that fell behind the merge
 RCC_BALANCE_INTERVAL = millis(2)
@@ -73,10 +76,9 @@ class InputStage:
         self.replica = replica
         self.sim = replica.sim
         name = f"{replica.replica_id}.input-{index}"
-        costs = replica.config.work_costs
         self._receive = replica.endpoint.inbox.get()
-        self._dispatch_cost = replica.cpu.run(costs.input_dispatch_ns, name)
-        self._sequence_cost = replica.cpu.run(costs.sequence_assign_ns, name)
+        self._dispatch_cost = replica.cpu.run(WORK_COSTS.input_dispatch_ns, name)
+        self._sequence_cost = replica.cpu.run(WORK_COSTS.sequence_assign_ns, name)
         self._received = Continuation(name, self._on_message)
         self._dispatched = Continuation(name, self._on_dispatched)
         self._sequenced = Continuation(name, self._hand_off)
@@ -143,8 +145,7 @@ class OutputStage:
         self.sim = replica.sim
         name = f"{replica.replica_id}.output-{index}"
         self._receive = replica.output_queues[index].get()
-        costs = replica.config.work_costs
-        self._send_cost = replica.cpu.run(costs.output_send_ns, name)
+        self._send_cost = replica.cpu.run(WORK_COSTS.output_send_ns, name)
         self._received = Continuation(name, self._on_item)
         self._charged = Continuation(name, self._on_charged)
         self._pending = None
@@ -200,7 +201,6 @@ def batch_loop(replica, index: int):
 def form_and_propose(replica, requests: List[ClientRequest], thread_id: str):
     """Verify, assemble, digest and propose one consensus batch."""
     config = replica.config
-    costs = config.work_costs
     cpu = replica.cpu
     client_scheme = replica.system.client_scheme
     valid_requests = []
@@ -220,9 +220,9 @@ def form_and_propose(replica, requests: List[ClientRequest], thread_id: str):
         txn.op_count for request in valid_requests for txn in request.txns
     )
     assembly = (
-        costs.batch_fixed_ns
-        + costs.batch_per_txn_ns * batch.txn_count
-        + costs.batch_per_op_ns * op_count
+        WORK_COSTS.batch_fixed_ns
+        + WORK_COSTS.batch_per_txn_ns * batch.txn_count
+        + WORK_COSTS.batch_per_op_ns * op_count
         + alloc_cost
     )
     yield cpu.run(assembly, thread_id)
@@ -237,7 +237,7 @@ def form_and_propose(replica, requests: List[ClientRequest], thread_id: str):
         if engine.history_chain:
             # the engine extends the primary history hash as it assigns
             # the sequence; charge that hash here
-            yield cpu.run(digest_cost(64, config.crypto_costs), thread_id)
+            yield cpu.run(digest_cost(64), thread_id)
         try:
             proposal, actions = engine.propose(batch.digest, batch)
         except ProposalError:
@@ -277,14 +277,12 @@ def batch_digest_cost(config, batch: RequestBatch) -> int:
     once per request plus a combining hash, which is what batching was
     introduced to avoid.
     """
-    crypto = config.crypto_costs
     if not config.per_request_digests:
-        return digest_cost(len(batch.batch_bytes()), crypto)
+        return digest_cost(len(batch.batch_bytes()))
     per_request = sum(
-        digest_cost(request.payload_bytes(), crypto)
-        for request in batch.requests
+        digest_cost(request.payload_bytes()) for request in batch.requests
     )
-    return per_request + digest_cost(32 * len(batch.requests), crypto)
+    return per_request + digest_cost(32 * len(batch.requests))
 
 
 # -- worker thread (§4.3–§4.4) ---------------------------------------------
@@ -332,7 +330,7 @@ def handle_protocol_message(replica, message: Message, thread_id: str):
     yield cpu.run(scheme.verify_cost(message.wire_bytes()), thread_id)
     if not replica.authentic(message, scheme):
         return
-    yield cpu.run(config.work_costs.worker_message_ns, thread_id)
+    yield cpu.run(WORK_COSTS.worker_message_ns, thread_id)
     # state transfer is host-level, not engine-level
     if message.kind == "state-request":
         yield from recovery.serve_state_transfer(replica, message, thread_id)

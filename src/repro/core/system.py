@@ -137,12 +137,8 @@ class ResilientDBSystem:
         group_names = [f"client{i}" for i in range(config.client_groups)]
         for identity in list(self.replica_ids) + group_names:
             self.keystore.register(identity)
-        self.client_scheme = make_scheme(
-            config.client_scheme, self.keystore, config.crypto_costs
-        )
-        self.replica_scheme = make_scheme(
-            config.replica_scheme, self.keystore, config.crypto_costs
-        )
+        self.client_scheme = make_scheme(config.client_scheme, self.keystore)
+        self.replica_scheme = make_scheme(config.replica_scheme, self.keystore)
 
         # -- nodes ----------------------------------------------------------
         self.replicas: Dict[str, Replica] = {

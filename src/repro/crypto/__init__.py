@@ -15,14 +15,16 @@ Two concerns are deliberately separated here:
   key registry plays the role of the PKI.  The framework enforces that a
   node can only sign under its own identity, which is the property our
   simulated adversaries could otherwise violate.)
-* **Cost** is modelled: every operation returns the number of simulated
-  nanoseconds it costs, from a table calibrated against published
-  single-core latencies of libsodium/OpenSSL on Cascade Lake-class CPUs.
-  These costs, not the token bytes, are what the paper's experiments
-  measure.
+* **Cost** is modelled: one table, :data:`~repro.crypto.costs.CRYPTO_COSTS`,
+  calibrated against published single-core latencies of libsodium/OpenSSL
+  on Cascade Lake-class CPUs, prices every operation.  A scheme's
+  ``sign_cost``/``verify_cost`` and :func:`digest_cost` read it, and the
+  pipeline stages charge those prices to their CPU threads; the token
+  operations themselves return no cost.  These costs, not the token
+  bytes, are what the paper's experiments measure.
 """
 
-from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
+from repro.crypto.costs import CRYPTO_COSTS, CryptoCosts
 from repro.crypto.hashing import digest_bytes, digest_cost
 from repro.crypto.keys import KeyStore
 from repro.crypto.schemes import (
@@ -36,9 +38,9 @@ from repro.crypto.schemes import (
 )
 
 __all__ = [
+    "CRYPTO_COSTS",
     "CmacAesScheme",
     "CryptoCosts",
-    "DEFAULT_COSTS",
     "Ed25519Scheme",
     "KeyStore",
     "NullScheme",

@@ -1,4 +1,4 @@
-"""Calibrated cost table for cryptographic operations.
+"""The one price list for cryptographic operations: :data:`CRYPTO_COSTS`.
 
 All values are simulated nanoseconds on one core of the paper's testbed
 (8-core Intel Xeon Cascade Lake @ 3.8 GHz).  Sources for the calibration:
@@ -54,5 +54,6 @@ class CryptoCosts:
         return int(self.sha256_fixed_ns + self.sha256_per_byte_ns * size_bytes)
 
 
-#: Default calibration used by every experiment unless overridden.
-DEFAULT_COSTS = CryptoCosts()
+#: The calibration every deployment charges: the signature schemes and
+#: :func:`~repro.crypto.hashing.digest_cost` read it directly.
+CRYPTO_COSTS = CryptoCosts()

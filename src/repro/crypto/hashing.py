@@ -4,14 +4,14 @@ ResilientDB's batch-threads hash *one string representation of the whole
 batch* rather than every request individually (§4.3) — the per-batch digest
 is one of the fabric's throughput levers.  The digest here is a real
 SHA-256 so chain integrity can be tested for real; the simulated time cost
-comes from :class:`~repro.crypto.costs.CryptoCosts`.
+comes from :data:`~repro.crypto.costs.CRYPTO_COSTS`.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
+from repro.crypto.costs import CRYPTO_COSTS
 
 
 def digest_bytes(data: bytes) -> str:
@@ -19,6 +19,6 @@ def digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_cost(size_bytes: int, costs: CryptoCosts = DEFAULT_COSTS) -> int:
+def digest_cost(size_bytes: int) -> int:
     """Simulated nanoseconds to hash ``size_bytes`` bytes."""
-    return costs.sha256_ns(size_bytes)
+    return CRYPTO_COSTS.sha256_ns(size_bytes)

@@ -11,9 +11,12 @@ A crucial asymmetry drives the paper's crypto lesson (§3, §5.6):
   non-repudiation is not needed (no replica forwards another replica's
   messages in PBFT, so it is not needed between replicas).
 
-:meth:`SignatureScheme.authenticate` returns the real token(s) plus the
-simulated cost; :meth:`SignatureScheme.check` verifies for real and returns
-the simulated verification cost.
+:meth:`SignatureScheme.authenticate` computes the real token(s) and
+:meth:`SignatureScheme.check` verifies for real; neither prices anything.
+The simulated time is :meth:`SignatureScheme.sign_cost` and
+:meth:`SignatureScheme.verify_cost`, read from
+:data:`~repro.crypto.costs.CRYPTO_COSTS`, which the pipeline stages charge
+to their CPU threads.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import enum
 import hmac
 import hashlib
 from dataclasses import FrozenInstanceError
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
-from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
+from repro.crypto.costs import CRYPTO_COSTS
 from repro.crypto.keys import KeyStore
 
 
@@ -97,15 +100,13 @@ class SignatureScheme:
     """Base class; concrete schemes fill in costs and token derivation."""
 
     name: SchemeName = SchemeName.NULL
-    token_size_bytes: int = 0
     #: Whether a third party can verify a token it did not receive directly
     #: (digital signatures: yes; MACs: no).  PBFT view-change and Zyzzyva
     #: commit certificates need this from *client* messages only.
     non_repudiation: bool = False
 
-    def __init__(self, keystore: KeyStore, costs: CryptoCosts = DEFAULT_COSTS):
+    def __init__(self, keystore: KeyStore):
         self.keystore = keystore
-        self.costs = costs
 
     # -- cost model ----------------------------------------------------
     def sign_cost(self, size_bytes: int, receivers: int = 1) -> int:
@@ -119,17 +120,15 @@ class SignatureScheme:
     # -- real tokens ---------------------------------------------------
     def authenticate(
         self, data: bytes, signer: str, receivers: Iterable[str]
-    ) -> Tuple[AuthToken, int]:
-        """Produce tokens for ``data`` from ``signer`` to ``receivers``.
-
-        Returns ``(token, simulated_cost_ns)``.
-        """
+    ) -> AuthToken:
+        """The token for ``data`` from ``signer`` to ``receivers``."""
         raise NotImplementedError
 
     def check(
         self, data: bytes, token: Optional[AuthToken], signer: str, receiver: str
-    ) -> Tuple[bool, int]:
-        """Verify ``token`` on ``data``; returns ``(valid, cost_ns)``."""
+    ) -> bool:
+        """Whether ``token`` authenticates ``data`` from ``signer`` to
+        ``receiver``."""
         raise NotImplementedError
 
 
@@ -141,7 +140,6 @@ class NullScheme(SignatureScheme):
     """
 
     name = SchemeName.NULL
-    token_size_bytes = 0
 
     def sign_cost(self, size_bytes: int, receivers: int = 1) -> int:
         return 0
@@ -150,10 +148,10 @@ class NullScheme(SignatureScheme):
         return 0
 
     def authenticate(self, data, signer, receivers):
-        return AuthToken(self.name, signer), 0
+        return AuthToken(self.name, signer)
 
     def check(self, data, token, signer, receiver):
-        return True, 0
+        return True
 
 
 class _DigitalSignatureScheme(SignatureScheme):
@@ -171,52 +169,40 @@ class _DigitalSignatureScheme(SignatureScheme):
     def sign_cost(self, size_bytes: int, receivers: int = 1) -> int:
         # one signature serves every receiver; hashing the payload to the
         # signing digest is charged per byte
-        return self._sign_ns + self.costs.sha256_ns(size_bytes)
+        return self._sign_ns + CRYPTO_COSTS.sha256_ns(size_bytes)
 
     def verify_cost(self, size_bytes: int) -> int:
-        return self._verify_ns + self.costs.sha256_ns(size_bytes)
+        return self._verify_ns + CRYPTO_COSTS.sha256_ns(size_bytes)
 
     def authenticate(self, data, signer, receivers):
         seed = self.keystore.signing_seed(signer)
         token = hmac.new(seed, data, hashlib.sha256).digest()
-        return (
-            AuthToken(self.name, signer, universal=token),
-            self.sign_cost(len(data), receivers=1),
-        )
+        return AuthToken(self.name, signer, universal=token)
 
     def check(self, data, token, signer, receiver):
-        cost = self.verify_cost(len(data))
         if token is None or token.signer != signer:
-            return False, cost
+            return False
         expected = hmac.new(
             self.keystore.signing_seed(signer), data, hashlib.sha256
         ).digest()
         supplied = token.for_receiver(receiver)
-        return (supplied is not None and hmac.compare_digest(expected, supplied)), cost
+        return supplied is not None and hmac.compare_digest(expected, supplied)
 
 
 class Ed25519Scheme(_DigitalSignatureScheme):
     """ED25519 digital signatures — the paper's client-side default."""
 
     name = SchemeName.ED25519
-    token_size_bytes = 64
-
-    def __init__(self, keystore, costs=DEFAULT_COSTS):
-        super().__init__(keystore, costs)
-        self._sign_ns = costs.ed25519_sign_ns
-        self._verify_ns = costs.ed25519_verify_ns
+    _sign_ns = CRYPTO_COSTS.ed25519_sign_ns
+    _verify_ns = CRYPTO_COSTS.ed25519_verify_ns
 
 
 class RsaScheme(_DigitalSignatureScheme):
     """RSA-2048 digital signatures — dramatically slower to sign."""
 
     name = SchemeName.RSA
-    token_size_bytes = 256
-
-    def __init__(self, keystore, costs=DEFAULT_COSTS):
-        super().__init__(keystore, costs)
-        self._sign_ns = costs.rsa_sign_ns
-        self._verify_ns = costs.rsa_verify_ns
+    _sign_ns = CRYPTO_COSTS.rsa_sign_ns
+    _verify_ns = CRYPTO_COSTS.rsa_verify_ns
 
 
 class CmacAesScheme(SignatureScheme):
@@ -226,36 +212,30 @@ class CmacAesScheme(SignatureScheme):
     cheap; no non-repudiation."""
 
     name = SchemeName.CMAC_AES
-    token_size_bytes = 16
     non_repudiation = False
 
     def sign_cost(self, size_bytes: int, receivers: int = 1) -> int:
-        return self.costs.cmac_ns(size_bytes) * max(1, receivers)
+        return CRYPTO_COSTS.cmac_ns(size_bytes) * max(1, receivers)
 
     def verify_cost(self, size_bytes: int) -> int:
-        return self.costs.cmac_ns(size_bytes)
+        return CRYPTO_COSTS.cmac_ns(size_bytes)
 
     def authenticate(self, data, signer, receivers):
-        receivers = list(receivers)
         tokens: Dict[str, bytes] = {}
         for receiver in receivers:
             key = self.keystore.pair_key(signer, receiver)
             tokens[receiver] = hmac.new(key, data, hashlib.sha256).digest()[:16]
-        return (
-            AuthToken(self.name, signer, tokens),
-            self.sign_cost(len(data), receivers=len(receivers)),
-        )
+        return AuthToken(self.name, signer, tokens)
 
     def check(self, data, token, signer, receiver):
-        cost = self.verify_cost(len(data))
         if token is None or token.signer != signer:
-            return False, cost
+            return False
         supplied = token.for_receiver(receiver)
         if supplied is None:
-            return False, cost
+            return False
         key = self.keystore.pair_key(signer, receiver)
         expected = hmac.new(key, data, hashlib.sha256).digest()[:16]
-        return hmac.compare_digest(expected, supplied), cost
+        return hmac.compare_digest(expected, supplied)
 
 
 _SCHEMES = {
@@ -266,11 +246,9 @@ _SCHEMES = {
 }
 
 
-def make_scheme(
-    name: SchemeName, keystore: KeyStore, costs: CryptoCosts = DEFAULT_COSTS
-) -> SignatureScheme:
+def make_scheme(name: SchemeName, keystore: KeyStore) -> SignatureScheme:
     """Factory for the scheme named ``name``."""
     try:
-        return _SCHEMES[SchemeName(name)](keystore, costs)
+        return _SCHEMES[SchemeName(name)](keystore)
     except KeyError:
         raise ValueError(f"unknown signature scheme {name!r}") from None

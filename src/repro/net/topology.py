@@ -17,12 +17,14 @@ class Topology:
     """Network parameters shared by all endpoints.
 
     ``nic_gbps`` is the per-endpoint link rate.  GCP c2-standard-8 instances
-    get ~16 Gbps egress; we default to 10 Gbps, which reproduces where the
-    message-size experiment becomes network-bound.
+    are rated 16 Gbps egress, but sustained many-stream goodput lands well
+    below that; we default to 7 Gbps (as ``SystemConfig.nic_gbps`` does),
+    which reproduces where the message-size experiment becomes
+    network-bound.
     """
 
     one_way_latency_ns: int = micros(100)
-    nic_gbps: float = 10.0
+    nic_gbps: float = 7.0
 
     #: extra per-message latency jitter bound (uniform, deterministic RNG);
     #: zero keeps runs exactly reproducible unless an experiment opts in.

@@ -18,9 +18,10 @@ from repro.storage.bufferpool import BufferPool
 from repro.storage.checkpoints import CheckpointStore
 from repro.storage.memstore import InMemoryKVStore
 from repro.storage.sqlstore import SqliteKVStore
-from repro.storage.base import KVStore, StorageCosts
+from repro.storage.base import STORAGE_COSTS, KVStore, StorageCosts
 
 __all__ = [
+    "STORAGE_COSTS",
     "Block",
     "Blockchain",
     "BufferPool",

@@ -1,9 +1,9 @@
-"""Common interface and cost model for record stores."""
+"""Common interface and the one price list for record stores."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Set, Tuple
+from typing import Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -29,21 +29,27 @@ class StorageCosts:
         return self.sqlite_read_ns, self.sqlite_write_ns
 
 
+#: The calibration every deployment charges, read by
+#: :func:`repro.core.host.execution_charge`.
+STORAGE_COSTS = StorageCosts()
+
+
 class KVStore:
     """Record-store interface used by the execution layer.
 
-    ``read``/``write`` perform the real operation and return the simulated
-    cost in nanoseconds, which the caller charges to its CPU.
+    ``read``/``write`` perform the real operation only.  What a record
+    access costs the execute-thread is :data:`STORAGE_COSTS`, by the
+    store's ``name`` (which is its backend).
     """
 
     name = "kvstore"
 
-    def read(self, key: str):
-        """Return ``(value_or_None, cost_ns)``."""
+    def read(self, key: str) -> Optional[str]:
+        """The value stored under ``key``, or ``None``."""
         raise NotImplementedError
 
-    def write(self, key: str, value: str):
-        """Store value; return ``cost_ns``."""
+    def write(self, key: str, value: str) -> None:
+        """Store ``value`` under ``key``."""
         raise NotImplementedError
 
     def size(self) -> int:

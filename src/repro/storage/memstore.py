@@ -16,36 +16,33 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Set, Tuple
 
-from repro.storage.base import KVStore, StorageCosts
+from repro.storage.base import KVStore
 
 _EMPTY: Mapping[str, str] = MappingProxyType({})
 
 
 class InMemoryKVStore(KVStore):
-    """A shared read-only base plus a private dict of this store's writes,
-    with modelled access costs."""
+    """A shared read-only base plus a private dict of this store's writes."""
 
     name = "memory"
 
-    def __init__(self, costs: Optional[StorageCosts] = None):
-        self.costs = costs or StorageCosts()
+    def __init__(self):
         self._base: Mapping[str, str] = _EMPTY
         #: this store's writes; a key here shadows the base
         self._writes: Dict[str, str] = {}
         self.reads = 0
         self.writes = 0
 
-    def read(self, key: str) -> Tuple[Optional[str], int]:
+    def read(self, key: str) -> Optional[str]:
         self.reads += 1
         value = self._writes.get(key)
         if value is None:
             value = self._base.get(key)
-        return value, self.costs.memory_read_ns
+        return value
 
-    def write(self, key: str, value: str) -> int:
+    def write(self, key: str, value: str) -> None:
         self.writes += 1
         self._writes[key] = value
-        return self.costs.memory_write_ns
 
     def size(self) -> int:
         base = self._base

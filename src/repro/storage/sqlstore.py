@@ -4,7 +4,8 @@
 execute-thread busy-waiting on every access, costing 94% of throughput.
 Here the store is a *real* :mod:`sqlite3` database (so functional behaviour
 — persistence across reopen, SQL access — is genuine) while the simulated
-cost charged to the execute-thread comes from the storage cost model.  The
+cost charged to the execute-thread comes from
+:data:`~repro.storage.base.STORAGE_COSTS`.  The
 database lives in memory by default so the host machine's disk speed never
 leaks into simulated results; tests that need durability pass a path.
 """
@@ -12,18 +13,17 @@ leaks into simulated results; tests that need durability pass a path.
 from __future__ import annotations
 
 import sqlite3
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.storage.base import KVStore, StorageCosts
+from repro.storage.base import KVStore
 
 
 class SqliteKVStore(KVStore):
-    """Key-value records in a SQLite table, with modelled access costs."""
+    """Key-value records in a SQLite table."""
 
     name = "sqlite"
 
-    def __init__(self, costs: Optional[StorageCosts] = None, path: str = ":memory:"):
-        self.costs = costs or StorageCosts()
+    def __init__(self, path: str = ":memory:"):
         self.path = path
         self._conn = sqlite3.connect(path)
         self._conn.execute(
@@ -33,14 +33,14 @@ class SqliteKVStore(KVStore):
         self.reads = 0
         self.writes = 0
 
-    def read(self, key: str) -> Tuple[Optional[str], int]:
+    def read(self, key: str) -> Optional[str]:
         self.reads += 1
         row = self._conn.execute(
             "SELECT value FROM records WHERE key = ?", (key,)
         ).fetchone()
-        return (row[0] if row else None), self.costs.sqlite_read_ns
+        return row[0] if row else None
 
-    def write(self, key: str, value: str) -> int:
+    def write(self, key: str, value: str) -> None:
         self.writes += 1
         self._conn.execute(
             "INSERT INTO records (key, value) VALUES (?, ?) "
@@ -48,7 +48,6 @@ class SqliteKVStore(KVStore):
             (key, value),
         )
         self._conn.commit()
-        return self.costs.sqlite_write_ns
 
     def size(self) -> int:
         return self._conn.execute("SELECT COUNT(*) FROM records").fetchone()[0]

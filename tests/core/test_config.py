@@ -5,6 +5,7 @@ import pytest
 from repro.core import SystemConfig
 from repro.crypto.schemes import SchemeName
 from repro.engines import ENGINES, PROTOCOLS
+from repro.net.topology import Topology
 
 
 def test_defaults_match_paper_standard_setup():
@@ -18,6 +19,8 @@ def test_defaults_match_paper_standard_setup():
     assert config.cores_per_replica == 8
     assert config.batch_threads == 2
     assert config.execute_threads == 1
+    # one NIC default: a bare Topology models the deployments' NIC
+    assert Topology().nic_gbps == config.nic_gbps == 7.0
 
 
 def test_f_derivation():
@@ -45,7 +48,6 @@ def test_checkpoint_period_in_batches():
         {"client_groups": 100, "num_clients": 50},
         {"storage_backend": "rocksdb"},
         {"input_threads": 0},
-        {"output_threads": 0},
         {"batch_threads": -1},
         {"execute_threads": 2},
         {"cores_per_replica": 0},

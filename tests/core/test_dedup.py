@@ -210,7 +210,7 @@ def test_a_forged_request_does_not_block_the_genuine_one(
     scheme = system.client_scheme
     # client1 signs a request carrying client0's key
     forged = request("client0", request_id=7)
-    forged.auth, _ = scheme.authenticate(
+    forged.auth = scheme.authenticate(
         forged.signable_bytes(), "client1", ["r0"]
     )
     assert primary.admit_client_request(forged)
@@ -220,7 +220,7 @@ def test_a_forged_request_does_not_block_the_genuine_one(
     assert primary.invalid_messages == 1
     assert not primary.host.was_admitted("client0", 7)
     genuine = request("client0", request_id=7)
-    genuine.auth, _ = scheme.authenticate(
+    genuine.auth = scheme.authenticate(
         genuine.signable_bytes(), "client0", ["r0"]
     )
     assert primary.admit_client_request(genuine)

@@ -109,7 +109,7 @@ def test_authenticated_foreign_kind_is_counted_not_fatal(protocol, small_config)
     def inject():
         # r1 holds valid keys: the MAC checks out at r2
         message = FOREIGN[protocol]()
-        message.auth, _ = system.replica_scheme.authenticate(
+        message.auth = system.replica_scheme.authenticate(
             message.signable_bytes(), "r1", ["r2"]
         )
         system.network.send("r1", "r2", message)

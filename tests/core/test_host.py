@@ -19,8 +19,9 @@ from repro.core.host import (
     apply_operations,
     execution_charge,
 )
-from repro.core.config import SystemConfig
+from repro.core.config import WORK_COSTS, SystemConfig
 from repro.flow import AdmissionController
+from repro.storage.base import STORAGE_COSTS
 from repro.storage.memstore import InMemoryKVStore
 from repro.workloads import Operation, OpType, Transaction
 
@@ -173,8 +174,8 @@ def test_adopting_a_state_installs_its_executed_keys():
 # ----------------------------------------------------------------------
 def test_execution_charge_prices_each_op_by_kind():
     config = SystemConfig(num_replicas=4, num_clients=NUM_CLIENTS)
-    read_ns, write_ns = config.storage_costs.op_costs(config.storage_backend)
-    op_ns = config.work_costs.execute_op_ns
+    read_ns, write_ns = STORAGE_COSTS.op_costs(config.storage_backend)
+    op_ns = WORK_COSTS.execute_op_ns
     mixed = ClientRequest("c", 0, (Transaction("c", (
         Operation(OpType.WRITE, "a", "1"), Operation(OpType.READ, "a"),
     )),))
@@ -193,7 +194,7 @@ def test_apply_operations_writes_in_order():
         Operation(OpType.WRITE, "a", "2"),
     )),))
     apply_operations(store, (first, second))
-    assert store.read("a")[0] == "2"
+    assert store.read("a") == "2"
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ResilientDBSystem
 from repro.sim.clock import millis
+from repro.storage.base import STORAGE_COSTS
 
 
 def test_zero_batch_threads_still_commits(small_config):
@@ -193,7 +194,7 @@ def test_upper_bound_mode_charges_the_backends_storage_cost(small_config):
     memory_ns, memory_ops = responder_busy_ns("memory")
     sqlite_ns, sqlite_ops = responder_busy_ns("sqlite")
     assert memory_ops == sqlite_ops == 120  # half writes, half reads
-    costs = small_config.storage_costs
+    costs = STORAGE_COSTS
     per_pair = (costs.sqlite_write_ns - costs.memory_write_ns) + (
         costs.sqlite_read_ns - costs.memory_read_ns
     )

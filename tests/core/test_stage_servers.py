@@ -8,7 +8,7 @@ stage performs — queue gets, CPU charges, block-policy puts — is visible.
 import pytest
 
 from repro.consensus.messages import Checkpoint, ClientRequest, Prepare
-from repro.core import ResilientDBSystem
+from repro.core import WORK_COSTS, ResilientDBSystem
 from repro.core.stages import InputStage, OutputStage
 from repro.sim.process import ProcessFailure
 from repro.workloads import Operation, OpType, Transaction
@@ -46,7 +46,7 @@ def test_blocked_input_stage_parks_and_resumes_in_fifo_order(small_config):
 
 def test_input_stage_charges_dispatch_and_sequencing(small_config):
     system = ResilientDBSystem(small_config.with_options(input_threads=1))
-    costs = small_config.work_costs
+    costs = WORK_COSTS
     messages = [
         make_request(1),
         Prepare("r2", 0, 1, "d"),
@@ -99,7 +99,7 @@ def test_output_stages_deliver_in_enqueue_order(small_config, monkeypatch):
         ]
         assert delivered == pairs
         assert replica.cpu.busy_ns.get(f"r0.output-{index}", 0) == (
-            len(pairs) * small_config.work_costs.output_send_ns
+            len(pairs) * WORK_COSTS.output_send_ns
         )
     assert len(sent) == 12
 

@@ -5,8 +5,9 @@ import pickle
 
 import pytest
 
+from repro.consensus.messages import Prepare
 from repro.crypto import (
-    DEFAULT_COSTS,
+    CRYPTO_COSTS,
     CmacAesScheme,
     Ed25519Scheme,
     KeyStore,
@@ -18,6 +19,7 @@ from repro.crypto import (
     make_scheme,
 )
 from repro.crypto.keys import UnknownIdentityError
+from repro.net.message import AUTH_TOKEN_BYTES, WIRE_HEADER_BYTES
 
 
 @pytest.fixture
@@ -68,47 +70,43 @@ def test_register_idempotent(keystore):
 )
 def test_roundtrip_verifies(keystore, scheme_cls):
     scheme = scheme_cls(keystore)
-    token, sign_cost = scheme.authenticate(b"hello", "r0", ["r1", "r2"])
-    valid, verify_cost = scheme.check(b"hello", token, "r0", "r1")
-    assert valid
-    assert sign_cost >= 0 and verify_cost >= 0
+    token = scheme.authenticate(b"hello", "r0", ["r1", "r2"])
+    assert scheme.check(b"hello", token, "r0", "r1") is True
+    assert scheme.sign_cost(5, receivers=2) >= 0 and scheme.verify_cost(5) >= 0
 
 
 @pytest.mark.parametrize("scheme_cls", [Ed25519Scheme, RsaScheme, CmacAesScheme])
 def test_tampered_payload_fails(keystore, scheme_cls):
     scheme = scheme_cls(keystore)
-    token, _ = scheme.authenticate(b"hello", "r0", ["r1"])
-    valid, _ = scheme.check(b"HELLO", token, "r0", "r1")
-    assert not valid
+    token = scheme.authenticate(b"hello", "r0", ["r1"])
+    assert not scheme.check(b"HELLO", token, "r0", "r1")
 
 
 @pytest.mark.parametrize("scheme_cls", [Ed25519Scheme, RsaScheme, CmacAesScheme])
 def test_wrong_claimed_signer_fails(keystore, scheme_cls):
     scheme = scheme_cls(keystore)
-    token, _ = scheme.authenticate(b"hello", "r0", ["r1"])
-    valid, _ = scheme.check(b"hello", token, "r2", "r1")
-    assert not valid
+    token = scheme.authenticate(b"hello", "r0", ["r1"])
+    assert not scheme.check(b"hello", token, "r2", "r1")
 
 
 def test_mac_token_is_per_receiver(keystore):
     scheme = CmacAesScheme(keystore)
-    token, _ = scheme.authenticate(b"msg", "r0", ["r1"])
+    token = scheme.authenticate(b"msg", "r0", ["r1"])
     # r2 was not a receiver: it has no token to check
-    valid, _ = scheme.check(b"msg", token, "r0", "r2")
-    assert not valid
+    assert not scheme.check(b"msg", token, "r0", "r2")
 
 
 def test_digital_signature_carries_one_token_for_every_receiver(keystore):
     scheme = Ed25519Scheme(keystore)
-    token, _ = scheme.authenticate(b"msg", "r0", ["r1", "r2"])
+    token = scheme.authenticate(b"msg", "r0", ["r1", "r2"])
     assert token.tokens is None
     assert token.for_receiver("r1") == token.universal
     assert token.for_receiver("r2") == token.universal
-    assert scheme.check(b"msg", token, "r0", "client0")[0]
+    assert scheme.check(b"msg", token, "r0", "client0")
 
 
 def test_auth_token_is_a_compact_immutable_record(keystore):
-    token, _ = CmacAesScheme(keystore).authenticate(b"msg", "r0", ["r1"])
+    token = CmacAesScheme(keystore).authenticate(b"msg", "r0", ["r1"])
     assert not hasattr(token, "__dict__")
     assert token.for_receiver("r1") == token.tokens["r1"]
     assert token.universal is None
@@ -116,21 +114,23 @@ def test_auth_token_is_a_compact_immutable_record(keystore):
         token.signer = "r2"
     assert copy.deepcopy(token) == token
     assert pickle.loads(pickle.dumps(token)) == token
-    unsigned, _ = NullScheme(keystore).authenticate(b"m", "r0", ["r1"])
+    unsigned = NullScheme(keystore).authenticate(b"m", "r0", ["r1"])
     assert unsigned.for_receiver("r1") is None
 
 
 def test_missing_token_fails(keystore):
     scheme = Ed25519Scheme(keystore)
-    valid, cost = scheme.check(b"msg", None, "r0", "r1")
-    assert not valid
-    assert cost > 0  # the receiver still spent verification effort
+    assert scheme.check(b"msg", None, "r0", "r1") is False
+    # the receiver still spends verification effort: a stage charges
+    # verify_cost before it learns the verdict
+    assert scheme.verify_cost(len(b"msg")) > 0
 
 
 def test_null_scheme_accepts_anything(keystore):
     scheme = NullScheme(keystore)
-    valid, cost = scheme.check(b"anything", None, "whoever", "r1")
-    assert valid and cost == 0
+    assert scheme.check(b"anything", None, "whoever", "r1") is True
+    assert scheme.verify_cost(len(b"anything")) == 0
+    assert scheme.sign_cost(len(b"anything"), receivers=4) == 0
 
 
 # ----------------------------------------------------------------------
@@ -162,11 +162,25 @@ def test_mac_cost_includes_per_byte_term(keystore):
     assert scheme.sign_cost(100_000) > scheme.sign_cost(100)
 
 
-def test_authenticate_reports_per_receiver_mac_cost(keystore):
+def test_mac_sign_cost_prices_one_token_per_receiver(keystore):
     scheme = CmacAesScheme(keystore)
-    _, cost_two = scheme.authenticate(b"x", "r0", ["r1", "r2"])
-    _, cost_one = scheme.authenticate(b"x", "r0", ["r1"])
-    assert cost_two == 2 * cost_one
+    two = scheme.authenticate(b"x", "r0", ["r1", "r2"])
+    one = scheme.authenticate(b"x", "r0", ["r1"])
+    assert (len(two.tokens), len(one.tokens)) == (2, 1)
+    assert scheme.sign_cost(1, receivers=len(two.tokens)) == 2 * scheme.sign_cost(
+        1, receivers=len(one.tokens)
+    )
+
+
+@pytest.mark.parametrize("name", list(SchemeName), ids=lambda name: name.value)
+def test_authenticated_message_ships_one_token_of_its_scheme(keystore, name):
+    message = Prepare("r0", 0, 1, "d")
+    message.auth = make_scheme(name, keystore).authenticate(
+        message.signable_bytes(), "r0", ["r1", "r2"]
+    )
+    assert message.wire_bytes() == (
+        WIRE_HEADER_BYTES + message.payload_bytes() + AUTH_TOKEN_BYTES[name.value]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +194,7 @@ def test_digest_is_real_sha256():
 
 def test_digest_cost_scales_with_size():
     assert digest_cost(64_000) > digest_cost(64)
-    assert digest_cost(0) == DEFAULT_COSTS.sha256_fixed_ns
+    assert digest_cost(0) == CRYPTO_COSTS.sha256_fixed_ns
 
 
 def test_make_scheme_factory(keystore):

@@ -62,7 +62,7 @@ def test_wire_size_accounting():
     store = KeyStore(0)
     store.register("a")
     scheme = Ed25519Scheme(store)
-    message.auth, _ = scheme.authenticate(b"x", "a", ["b"])
+    message.auth = scheme.authenticate(b"x", "a", ["b"])
     assert message.wire_bytes() == WIRE_HEADER_BYTES + 500 + 64
 
 
