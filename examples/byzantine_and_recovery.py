@@ -76,8 +76,8 @@ def main() -> None:
     healthy = system.replicas["r1"]
     print(f"r6 crashed at 120ms, healed at 350ms")
     print(f"recoveries completed: {recovered.recoveries_completed}")
-    print(f"executed batches — recovered r6: {len(recovered.executed_log)}, "
-          f"healthy r1: {len(healthy.executed_log)}")
+    print(f"executed batches — recovered r6: {len(recovered.ledger.executed_log)}, "
+          f"healthy r1: {len(healthy.ledger.executed_log)}")
     for record in system.spans.events(category="recovery"):
         print(f"  trace: {record.format()}")
     system.validate_safety()

@@ -41,9 +41,9 @@ def main() -> None:
         print(f"  {stage:<12} {value * 100:5.1f}% {bar}")
 
     primary = system.replicas["r0"]
-    print(f"\nledger: {primary.chain.height} blocks, "
+    print(f"\nledger: {primary.ledger.chain.height} blocks, "
           f"stable checkpoint at batch {result.stable_checkpoint}")
-    head = primary.chain.head()
+    head = primary.ledger.chain.head()
     print(f"head block: seq={head.sequence} digest={head.digest[:16]}… "
           f"certified by {len(head.commit_certificate)} commit signatures")
 

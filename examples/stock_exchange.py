@@ -46,8 +46,8 @@ def main() -> None:
     # the audit trail: every burst is a block whose certificate carries
     # 2f+1 commit signatures — non-repudiable evidence of the match order
     primary = system.replicas["r0"]
-    print(f"\naudit trail:     {primary.chain.height} blocks")
-    for block in primary.chain.blocks[-3:]:
+    print(f"\naudit trail:     {primary.ledger.chain.height} blocks")
+    for block in primary.ledger.chain.blocks[-3:]:
         signers = sorted(s for s, _ in block.commit_certificate)[:3]
         print(f"  block {block.sequence:>5}: {block.txn_count} orders, "
               f"digest {block.digest[:12]}…, quorum {signers}…")

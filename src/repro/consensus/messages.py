@@ -306,67 +306,39 @@ class StateTransferRequest(Message):
 
 
 class StateTransferResponse(Message):
-    """Peer → recovering replica: executed log slice, chain blocks and a
-    state snapshot.
+    """Peer → recovering replica: a :class:`~repro.core.ledger.LedgerTransfer`
+    and the host rules' copy of the executed request keys.
 
     The snapshot dominates the wire size (the whole record table), which
-    is why recovery is expensive and why checkpoints exist to bound it.
+    is why recovery is expensive and why checkpoints exist to bound it;
+    the history hash and the executed request keys are not priced.
     """
 
     kind = "state-response"
 
-    __slots__ = (
-        "executed_sequence",
-        "state_digest",
-        "log_slice",
-        "blocks",
-        "snapshot",
-        "snapshot_records",
-        "pruned_through",
-        "executed_keys",
-    )
+    __slots__ = ("transfer", "executed_keys")
 
-    def __init__(
-        self,
-        sender: str,
-        executed_sequence: int,
-        state_digest: str,
-        log_slice: tuple,
-        blocks: tuple,
-        snapshot,
-        snapshot_records: int,
-        pruned_through: int,
-        executed_keys=None,
-    ):
+    def __init__(self, sender: str, transfer, executed_keys=None):
         super().__init__(sender)
-        self.executed_sequence = executed_sequence
-        self.state_digest = state_digest
-        self.log_slice = log_slice
-        self.blocks = blocks
-        self.snapshot = snapshot
-        self.snapshot_records = snapshot_records
-        self.pruned_through = pruned_through
-        #: the request keys executed through ``executed_sequence`` (part
-        #: of the replicated state: the adopter must skip the same
-        #: duplicates its peers skip).  At one bit per request it is not
-        #: priced next to the record table.
+        self.transfer = transfer
         self.executed_keys = executed_keys
 
     def payload_bytes(self) -> int:
         return (
             48
-            + 40 * len(self.log_slice)
-            + 200 * len(self.blocks)
-            + 120 * self.snapshot_records
+            + 40 * len(self.transfer.log_slice)
+            + 200 * len(self.transfer.blocks)
+            + 120 * self.transfer.snapshot_records
         )
 
     def signable_fields(self) -> tuple:
         return (
             self.kind,
             self.sender,
-            self.executed_sequence,
-            self.state_digest,
-            len(self.log_slice),
+            self.transfer.executed_sequence,
+            self.transfer.state_digest,
+            self.transfer.history_hash,
+            len(self.transfer.log_slice),
         )
 
 

@@ -111,8 +111,6 @@ class ClientGroup:
         self._deferred = 0
         self.busy_nacks_received = 0
         self.completed_requests = 0
-        self.fast_path_completions = 0
-        self.slow_path_completions = 0
         #: (request_id, sequence, result digest) per completion, recorded
         #: when ``config.record_completions`` is on (the fuzzer's reply
         #: oracle matches these against replica executed logs)
@@ -312,10 +310,8 @@ class ClientGroup:
         self.completed_requests += 1
         metrics = self.system.metrics
         if fast:
-            self.fast_path_completions += 1
             metrics.counter("fast_path_completions").increment()
         else:
-            self.slow_path_completions += 1
             metrics.counter("slow_path_completions").increment()
         latency = self.sim.now - pending.submitted_at
         metrics.histogram("request_latency").record(latency)

@@ -6,8 +6,8 @@
   the next sequence number — the simulation-level equivalent of parking
   on queue ``txn_id % QC`` (§4.6).  It applies operations to the record
   store (once per client request, however often the request was
-  proposed), appends a block certified by the 2f+1 commit signatures,
-  answers clients, and emits checkpoints every Δ transactions.
+  proposed) and appends a block, both in the replica's ledger, answers
+  clients, and emits checkpoints every Δ transactions.
 - ``checkpoint`` thread (:func:`checkpoint_loop`): collects checkpoint
   votes; at 2f+1 identical votes it advances the stable checkpoint and
   garbage-collects old slots, blocks and request keys (§4.7).
@@ -25,12 +25,11 @@ from repro.consensus.base import ExecuteReady, SendTo
 from repro.consensus.messages import (
     Checkpoint, ClientResponse, RequestBatch, SpecResponse,
 )
-from repro.consensus.zyzzyva import extend_history
 from repro.core.config import WORK_COSTS
 from repro.core.host import apply_operations, execution_charge
-from repro.crypto.hashing import digest_bytes, digest_cost
+from repro.crypto.hashing import digest_cost
 from repro.sim.events import SimEvent
-from repro.storage.blockchain import Block, CertificationMode
+from repro.storage.blockchain import CertificationMode
 
 
 # -- ordered execution (§4.5–§4.6) -----------------------------------------
@@ -82,8 +81,7 @@ def execute_batch(replica, action: ExecuteReady, thread_id: str):
         # design that §4.6's commit-certificate blocks avoid)
         cost += digest_cost(256)
     cost += WORK_COSTS.block_create_ns
-    history_chain = replica.engine.history_chain
-    if history_chain:
+    if replica.engine.history_chain:
         cost += digest_cost(96)  # history extension
     yield replica.cpu.run(cost, thread_id)
 
@@ -97,26 +95,9 @@ def execute_batch(replica, action: ExecuteReady, thread_id: str):
     txns_executed = batch.txn_count
     if fresh is not batch.requests:
         txns_executed = sum(len(request.txns) for request in fresh)
-        ops_executed = sum(
-            txn.op_count for request in fresh for txn in request.txns
-        )
-    if config.apply_state:
-        apply_operations(replica.store, fresh)
-    append_block(replica, action, batch)
-    if replica.executed_requests is not None and fresh:
-        replica.executed_requests.append((
-            action.sequence,
-            tuple((request.sender, request.request_id) for request in fresh),
-        ))
-    if history_chain:
-        # h_n = H(h_{n-1} || d_n)
-        replica.exec_history_hash = extend_history(
-            replica.exec_history_hash, batch.digest or ""
-        )
-    replica.executed_log.append((action.sequence, batch.digest or ""))
-    replica.state_digest = digest_bytes(
-        f"{replica.state_digest}|{batch.digest}".encode("utf-8")
-    )
+        ops_executed = sum(txn.op_count for request in fresh for txn in request.txns)
+    proposer = replica.engine.proposer_of(action.sequence, action.view)
+    replica.ledger.record(action, proposer, fresh)
     spans = replica.system.spans
     if spans.enabled:
         spans.stamp_sequence(action.sequence, "execute", replica.sim.now)
@@ -143,34 +124,6 @@ def execute_batch(replica, action: ExecuteReady, thread_id: str):
         replica.consensus_token.put_nowait(None)
 
 
-def append_block(replica, action: ExecuteReady, batch: RequestBatch) -> None:
-    """Build and append the block (CPU already charged by the caller)."""
-    prev_hash = None
-    certificate = ()
-    if replica.config.certification is CertificationMode.PREV_HASH:
-        prev_hash = replica.chain.head().block_hash()
-    else:
-        commit_quorum = replica.quorum.commit_quorum
-        certificate = tuple(action.commit_proof)
-        if len({signer for signer, _ in certificate}) < commit_quorum:
-            # speculative (Zyzzyva) or degenerate runs have no commit
-            # certificate; synthesise the quorum attestation the chain
-            # expects from the accepted order
-            certificate = tuple(
-                (rid, b"speculative")
-                for rid in replica.system.replica_ids[:commit_quorum]
-            )
-    replica.chain.append(Block(
-        sequence=action.sequence,
-        digest=batch.digest or "",
-        view=action.view,
-        proposer=replica.engine.proposer_of(action.sequence, action.view),
-        txn_count=batch.txn_count,
-        prev_hash=prev_hash,
-        commit_certificate=certificate,
-    ))
-
-
 def respond_to_clients(replica, action, batch: RequestBatch, thread_id: str):
     """One response message per client group with requests in the batch."""
     response_ns = WORK_COSTS.response_create_ns
@@ -186,7 +139,7 @@ def respond_to_clients(replica, action, batch: RequestBatch, thread_id: str):
             action.sequence, batch.digest or "",
         )
         if action.speculative:
-            message = SpecResponse(*fields, replica.exec_history_hash)
+            message = SpecResponse(*fields, replica.ledger.history_hash)
         else:
             message = ClientResponse(*fields)
         yield replica.cpu.run(response_ns, thread_id)
@@ -199,22 +152,19 @@ def respond_to_clients(replica, action, batch: RequestBatch, thread_id: str):
 
 # -- checkpoints (§4.7) ----------------------------------------------------
 def emit_checkpoint(replica, sequence: int, thread_id: str):
-    config = replica.config
-    replica.checkpoint_digests[sequence] = replica.state_digest
+    state_digest = replica.ledger.attest(sequence)
     yield replica.cpu.run(digest_cost(4096), thread_id)
     message = Checkpoint(
         replica.replica_id,
         sequence,
-        replica.state_digest,
-        blocks_included=config.checkpoint_batches,
+        state_digest,
+        blocks_included=replica.config.checkpoint_batches,
     )
     yield from replica.sign_and_queue(
         message, replica.peers, thread_id, scheme=replica.system.replica_scheme
     )
     # our own vote counts too
-    record_checkpoint_vote(
-        replica, sequence, replica.state_digest, replica.replica_id
-    )
+    record_checkpoint_vote(replica, sequence, state_digest, replica.replica_id)
 
 
 def checkpoint_loop(replica):
@@ -245,7 +195,7 @@ def record_checkpoint_vote(replica, sequence, digest, voter) -> None:
     replica.engine.advance_stable(checkpoints.stable_sequence)
     horizon = checkpoints.gc_horizon()
     if horizon > 0:
-        replica.chain.prune_before(horizon)
+        replica.ledger.prune(horizon)
         replica.host.gc()
     # if the cluster's stable point has moved a whole checkpoint interval
     # past our execution point, the commits we are missing have been
@@ -276,7 +226,7 @@ def upper_bound_loop(replica, thread_id: str):
             cost, ops = execution_charge(config, (request,))
             yield replica.cpu.run(cost, thread_id)
             if config.apply_state:
-                apply_operations(replica.store, (request,))
+                apply_operations(replica.ledger.store, (request,))
         sequence += 1
         message = ClientResponse(
             replica.replica_id,

@@ -5,9 +5,10 @@ the replica's cores: input, batch, worker and output
 (:mod:`repro.core.stages`), execute and checkpoint
 (:mod:`repro.core.execution`), and state transfer after a crash heals
 (:mod:`repro.core.recovery`).  The :class:`Replica` holds the queues and
-state they share, and what every stage calls: admission at the primary's
-edge (decided by :class:`~repro.core.host.HostRules`), action dispatch,
-and the view-change timers.  A replica that a view change makes primary
+state they share (executed state in a :class:`~repro.core.ledger.Ledger`),
+and what every stage calls: admission at the primary's edge (decided by
+:class:`~repro.core.host.HostRules`), action dispatch, and the
+view-change timers.  A replica that a view change makes primary
 proposes the requests it had forwarded at once (``_carry_over``).
 
 ``batch_threads=0`` or ``execute_threads=0`` folds those stages into the
@@ -27,23 +28,18 @@ from repro.consensus.base import (
     SendTo, StartViewChangeTimer,
 )
 from repro.consensus.messages import BusyNack, ClientRequest
-from repro.consensus.zyzzyva import GENESIS_HISTORY
 from repro.core import execution, recovery, stages
 from repro.core.config import WORK_COSTS
 from repro.core.host import DUPLICATE, HostRules
-from repro.crypto.hashing import digest_bytes
+from repro.core.ledger import Ledger
 from repro.engines import ENGINES
 from repro.flow import AdmissionController, FlowStats
-from repro.flow.admission import RequestKey
 from repro.net.message import Message
 from repro.sim.events import SimEvent, Timer
 from repro.sim.queues import SimPriorityQueue, SimQueue
 from repro.sim.resources import CpuScheduler
-from repro.storage.blockchain import Blockchain
 from repro.storage.bufferpool import BufferPool
 from repro.storage.checkpoints import CheckpointStore
-from repro.storage.memstore import InMemoryKVStore
-from repro.storage.sqlstore import SqliteKVStore
 
 #: message objects each replica's buffer pool keeps for reuse (§4.8)
 BUFFER_POOL_CAPACITY = 4_096
@@ -111,32 +107,14 @@ class Replica:
         #: the parked execute-thread's wake-up (see repro.core.execution)
         self.exec_event: Optional[SimEvent] = None
 
-        # -- durable state ------------------------------------------------
-        if config.storage_backend == "memory":
-            self.store = InMemoryKVStore()
-        else:
-            self.store = SqliteKVStore()
-        self.chain = Blockchain(
-            first_primary=replica_ids[0],
-            mode=config.certification,
-            quorum_size=quorum.commit_quorum,
+        # -- executed state ------------------------------------------------
+        self.ledger = Ledger(
+            config, replica_ids, quorum.commit_quorum, self.engine.history_chain
         )
         self.checkpoints = CheckpointStore(
             quorum_size=quorum.checkpoint_quorum,
             interval=config.checkpoint_batches,
         )
-        #: executed (sequence, digest) log, for safety validation
-        self.executed_log: List[Tuple[int, str]] = []
-        #: checkpoint sequence -> state digest this replica attested to
-        #: (the checkpoint-consistency oracle cross-checks these)
-        self.checkpoint_digests: Dict[int, str] = {}
-        #: executed (sequence, request keys) per batch that executed any,
-        #: kept with ``record_completions`` for the exactly-once oracle
-        self.executed_requests: Optional[
-            List[Tuple[int, Tuple[RequestKey, ...]]]
-        ] = [] if config.record_completions else None
-        self.state_digest = digest_bytes(b"initial-state")
-        self.exec_history_hash = GENESIS_HISTORY  # Zyzzyva history chain
 
         # -- buffer pools (§4.8): message objects and transaction objects
         self.message_pool = BufferPool(
@@ -203,6 +181,10 @@ class Replica:
             return
         self.recovering = True
         self.sim.spawn(recovery.recovery_loop(self), name=f"{self.replica_id}.recovery")
+
+    # read-only views of the ledger that the benchmark harness reads
+    executed_log = property(lambda self: self.ledger.executed_log)
+    chain = property(lambda self: self.ledger.chain)
 
     @property
     def is_primary(self) -> bool:
@@ -394,7 +376,7 @@ class Replica:
     def _arm_forward_probe(self) -> None:
         if self._forward_probe is not None:
             return
-        self._forward_probe = (len(self.executed_log), self.engine.view)
+        self._forward_probe = (len(self.ledger.executed_log), self.engine.view)
         Timer(self.sim, self.config.view_change_timeout, self._on_forward_probe)
 
     def _on_forward_probe(self) -> None:
@@ -404,7 +386,7 @@ class Replica:
         self._forward_probe = None
         engine = self.engine
         if (
-            len(self.executed_log) != executed_then
+            len(self.ledger.executed_log) != executed_then
             or engine.view != view_then
             or engine.in_view_change
         ):

@@ -171,7 +171,7 @@ class ResilientDBSystem:
             workload_rng, record_count=self.config.ycsb_records
         ).initial_table()
         for replica in self.replicas.values():
-            replica.store.preload(table)
+            replica.ledger.store.preload(table)
 
     # ------------------------------------------------------------------
     # fault injection
@@ -297,7 +297,7 @@ class ResilientDBSystem:
             messages_sent=self.network.messages_sent,
             bytes_sent=self.network.bytes_sent,
             dropped_messages=self.network.dropped_messages,
-            chain_height=primary.chain.height,
+            chain_height=primary.ledger.chain.height,
             stable_checkpoint=primary.checkpoints.stable_sequence,
             fast_path_completions=metrics.counters["fast_path_completions"].value,
             slow_path_completions=metrics.counters["slow_path_completions"].value,
@@ -336,12 +336,12 @@ class ResilientDBSystem:
         }
         faulty_set = set(faulty) | crashed
         logs = {
-            rid: replica.executed_log for rid, replica in self.replicas.items()
+            rid: replica.ledger.executed_log for rid, replica in self.replicas.items()
         }
         prefix = check_execution_consistency(logs, faulty=sorted(faulty_set))
         for rid, replica in self.replicas.items():
             if rid not in faulty_set:
-                replica.chain.validate()
+                replica.ledger.chain.validate()
         # replicas that executed exactly the same number of batches must
         # have identical state
         if self.config.apply_state and self.config.storage_backend == "memory":
@@ -349,9 +349,8 @@ class ResilientDBSystem:
             for rid, replica in self.replicas.items():
                 if rid in faulty_set:
                     continue
-                by_length.setdefault(len(replica.executed_log), {})[rid] = (
-                    replica.store
-                )
+                ledger = replica.ledger
+                by_length.setdefault(len(ledger.executed_log), {})[rid] = ledger.store
             for stores in by_length.values():
                 check_state_convergence(stores)
         return prefix
@@ -359,4 +358,4 @@ class ResilientDBSystem:
     def close(self) -> None:
         """Release external resources (SQLite connections)."""
         for replica in self.replicas.values():
-            replica.store.close()
+            replica.ledger.store.close()

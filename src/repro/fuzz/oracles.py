@@ -141,7 +141,7 @@ def check_exactly_once(
     """No honest replica executes one client request twice.
 
     ``executed_requests`` maps replica id to its executed (sequence,
-    request keys) records (``Replica.executed_requests``).  Raises
+    request keys) records (``Ledger.executed_requests``).  Raises
     :class:`SafetyViolation` naming the first request a non-faulty
     replica executed at two sequences (or twice in one batch); returns
     the number of request executions checked.
@@ -193,7 +193,7 @@ def run_oracle_bank(
 
     # -- client replies match executed logs -----------------------------
     executed_logs = {
-        rid: replica.executed_log for rid, replica in system.replicas.items()
+        rid: replica.ledger.executed_log for rid, replica in system.replicas.items()
     }
     for group in system.client_groups:
         try:
@@ -209,7 +209,7 @@ def run_oracle_bank(
     try:
         check_exactly_once(
             {
-                rid: replica.executed_requests or ()
+                rid: replica.ledger.executed_requests or ()
                 for rid, replica in system.replicas.items()
             },
             faulty=tuple(byzantine),
@@ -220,7 +220,7 @@ def run_oracle_bank(
     # -- checkpoint consistency -----------------------------------------
     if not replica_divergence_legal:
         histories = {
-            rid: replica.checkpoint_digests
+            rid: replica.ledger.checkpoint_digests
             for rid, replica in system.replicas.items()
         }
         try:
@@ -314,7 +314,7 @@ def _check_rcc_unification(system, scenario, faulty) -> List[Violation]:
         replica = system.replicas[rid]
         try:
             check_unified_execution(
-                replica.executed_log,
+                replica.ledger.executed_log,
                 replica.engine.commit_log,
                 scenario.num_primaries,
             )
@@ -338,7 +338,8 @@ def _check_stable_digests(system, byzantine) -> None:
     for rid in sorted(system.replicas):
         if rid in byzantine:
             continue
-        for sequence, digest in system.replicas[rid].checkpoint_digests.items():
+        ledger = system.replicas[rid].ledger
+        for sequence, digest in ledger.checkpoint_digests.items():
             attested.setdefault(sequence, (rid, digest))
     for rid in sorted(system.replicas):
         if rid in byzantine:

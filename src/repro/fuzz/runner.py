@@ -79,7 +79,7 @@ def _inject_weak_commit_quorum(system: ResilientDBSystem) -> None:
         # the chain's certificate check derives from the same (broken)
         # arithmetic — otherwise it crashes the run before the oracles
         # get to see the divergence
-        replica.chain.quorum_size = weak.commit_quorum
+        replica.ledger.chain.quorum_size = weak.commit_quorum
 
 
 #: name -> installer; applied to the built system before it starts
@@ -166,7 +166,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
             scenario=scenario,
             violations=violations,
             completed_requests=completed,
-            chain_height=primary.chain.height,
+            chain_height=primary.ledger.chain.height,
             stable_checkpoint=primary.checkpoints.stable_sequence,
             wall_seconds=time.monotonic() - started,
         )

@@ -191,12 +191,6 @@ class Blockchain:
         self._by_sequence = {0: self.genesis}
         self._by_sequence.update({block.sequence: block for block in blocks})
 
-    def suffix_since(self, sequence: int):
-        """Blocks with sequence > ``sequence`` (for state transfer)."""
-        return tuple(
-            block for block in self.blocks if block.sequence > sequence
-        )
-
     def prune_before(self, sequence: int) -> int:
         """Drop blocks older than ``sequence`` (checkpoint GC, §4.7).
 

@@ -107,8 +107,8 @@ def test_a_request_proposed_twice_executes_once(small_config, monkeypatch):
     )
     replica = system.replicas["r1"]
     writes, answered = [], []
-    store_write = replica.store.write
-    replica.store.write = lambda key, value: (
+    store_write = replica.ledger.store.write
+    replica.ledger.store.write = lambda key, value: (
         writes.append(key) or store_write(key, value)
     )
     respond = execution.respond_to_clients
@@ -130,9 +130,9 @@ def test_a_request_proposed_twice_executes_once(small_config, monkeypatch):
         )
     system.sim.spawn(execution.drain_executions(replica, "r1.execute"))
     system.sim.run()
-    assert [sequence for sequence, _ in replica.executed_log] == [1, 2]
+    assert [sequence for sequence, _ in replica.ledger.executed_log] == [1, 2]
     assert writes == ["k4", "k5", "k6"]
-    assert replica.executed_requests == [
+    assert replica.ledger.executed_requests == [
         (1, (("client0", 4), ("client0", 5))),
         (2, (("client0", 6),)),
     ]

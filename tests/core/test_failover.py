@@ -75,7 +75,7 @@ def _key(request):
 
 def _assert_executed_once(system, faulty=()):
     executed = {
-        rid: replica.executed_requests
+        rid: replica.ledger.executed_requests
         for rid, replica in system.replicas.items()
     }
     assert check_exactly_once(executed, faulty=faulty) > 0
@@ -164,7 +164,7 @@ def test_cache_is_empty_after_the_next_stable_checkpoint():
     # what is left at the end is in flight: nothing a replica executed
     for replica in system.replicas.values():
         executed = {
-            key for _, keys in replica.executed_requests for key in keys
+            key for _, keys in replica.ledger.executed_requests for key in keys
         }
         assert not executed & set(replica.host.forwarded_keys())
 

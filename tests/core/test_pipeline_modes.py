@@ -85,8 +85,8 @@ def test_prev_hash_certification_mode(small_config):
     result = system.run()
     assert result.completed_requests > 0
     primary = system.replicas["r0"]
-    primary.chain.validate()
-    head = primary.chain.head()
+    primary.ledger.chain.validate()
+    head = primary.ledger.chain.head()
     assert head.prev_hash is not None
     assert head.commit_certificate == ()
 

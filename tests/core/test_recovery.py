@@ -3,7 +3,9 @@
 import pytest
 
 from repro.consensus.messages import StateTransferResponse
+from repro.consensus.zyzzyva import GENESIS_HISTORY, extend_history
 from repro.core import ResilientDBSystem, SystemConfig, recovery
+from repro.core.ledger import LedgerTransfer
 from repro.sim.clock import millis, seconds
 
 
@@ -42,7 +44,7 @@ def test_recovered_replica_catches_up(recovered_run):
     healthy = system.replicas["r1"]
     assert recovered.recoveries_completed >= 1
     # caught up to within a small window of the healthy replicas
-    assert len(recovered.executed_log) > 0.8 * len(healthy.executed_log)
+    assert len(recovered.ledger.executed_log) > 0.8 * len(healthy.ledger.executed_log)
     system.validate_safety()
 
 
@@ -57,8 +59,8 @@ def test_state_transfer_carries_the_executed_request_keys(recovery_config):
     assert recovered.recoveries_completed >= 1
     # r3 executed none of the adopted range itself, yet knows every
     # request executed there, so it skips the duplicates its peers skip
-    own = {key for _, keys in recovered.executed_requests for key in keys}
-    healthy = system.replicas["r1"].executed_requests
+    own = {key for _, keys in recovered.ledger.executed_requests for key in keys}
+    healthy = system.replicas["r1"].ledger.executed_requests
     adopted = [
         key
         for sequence, keys in healthy
@@ -72,8 +74,8 @@ def test_state_transfer_carries_the_executed_request_keys(recovery_config):
 
 def test_recovered_state_converges(recovered_run):
     system, _result = recovered_run
-    recovered = system.replicas["r3"]
-    healthy = system.replicas["r1"]
+    recovered = system.replicas["r3"].ledger
+    healthy = system.replicas["r1"].ledger
     # identical executed prefixes imply identical digests position-wise
     common = min(len(recovered.executed_log), len(healthy.executed_log))
     assert recovered.executed_log[:common] == healthy.executed_log[:common]
@@ -110,10 +112,11 @@ def test_healthy_replicas_ignore_stale_responses(recovery_config):
     replica = system.replicas["r1"]
     replica.recovering = True
     replica.next_exec_sequence = 100
-    stale = StateTransferResponse(
-        "r2", executed_sequence=5, state_digest="d", log_slice=(),
-        blocks=(), snapshot=None, snapshot_records=0, pruned_through=0,
-    )
+    stale = StateTransferResponse("r2", LedgerTransfer(
+        executed_sequence=5, state_digest="d", history_hash=GENESIS_HISTORY,
+        log_slice=(), blocks=(), snapshot=None, snapshot_records=0,
+        pruned_through=0,
+    ))
     recovery.absorb_state_response(replica, stale)
     assert replica.recovering  # not adopted
     assert replica.next_exec_sequence == 100
@@ -124,18 +127,46 @@ def test_adoption_requires_f_plus_1_matching_offers(recovery_config):
     replica = system.replicas["r1"]
     replica.recovering = True
 
-    def offer(sender, digest):
-        return StateTransferResponse(
-            sender, executed_sequence=50, state_digest=digest,
+    def offer(sender, digest, history_hash=GENESIS_HISTORY):
+        return StateTransferResponse(sender, LedgerTransfer(
+            executed_sequence=50, state_digest=digest,
+            history_hash=history_hash,
             log_slice=tuple((i, "d") for i in range(1, 51)),
             blocks=(), snapshot=None, snapshot_records=0, pruned_through=0,
-        )
+        ))
 
     recovery.absorb_state_response(replica, offer("r2", "digestA"))
     assert replica.recovering  # one offer is not enough (f=1 -> need 2)
     recovery.absorb_state_response(replica, offer("r3", "digestB"))
     assert replica.recovering  # conflicting digests never combine
     recovery.absorb_state_response(replica, offer("r0", "digestA"))
+    assert not replica.recovering
+    assert replica.next_exec_sequence == 51
+
+
+def test_offers_that_differ_only_in_history_hash_are_not_adopted(
+    recovery_config,
+):
+    """One faulty peer cannot plant a forged Zyzzyva history hash into an
+    otherwise matching offer."""
+    system = ResilientDBSystem(recovery_config)
+    replica = system.replicas["r1"]
+    replica.recovering = True
+
+    def offer(sender, history_hash):
+        return StateTransferResponse(sender, LedgerTransfer(
+            executed_sequence=50, state_digest="digestA",
+            history_hash=history_hash,
+            log_slice=tuple((i, "d") for i in range(1, 51)),
+            blocks=(), snapshot=None, snapshot_records=0, pruned_through=0,
+        ))
+
+    recovery.absorb_state_response(replica, offer("r2", GENESIS_HISTORY))
+    recovery.absorb_state_response(replica, offer("r3", "forged"))
+    assert replica.recovering  # f+1 senders, but no f+1 agreement
+    assert replica.next_exec_sequence == 1
+    assert replica.ledger.history_hash == GENESIS_HISTORY
+    recovery.absorb_state_response(replica, offer("r0", GENESIS_HISTORY))
     assert not replica.recovering
     assert replica.next_exec_sequence == 51
 
@@ -153,7 +184,9 @@ def test_recovered_store_matches_peers_and_snapshot_counts_the_table(
     def record_adoption(replica, response):
         adopt(replica, response)
         if replica is recovered:
-            adopted.append((response.snapshot_records, recovered.store.size()))
+            adopted.append(
+                (response.transfer.snapshot_records, recovered.ledger.store.size())
+            )
 
     monkeypatch.setattr(recovery, "adopt_state", record_adoption)
     system.faults.crash_at("r3", millis(100))
@@ -168,7 +201,51 @@ def test_recovered_store_matches_peers_and_snapshot_counts_the_table(
     for snapshot_records, size in adopted:
         # the whole logical table ships, not just the peer's own writes
         assert snapshot_records == size == config.ycsb_records
-    assert recovered.executed_log == system.replicas["r1"].executed_log
+    assert recovered.ledger.executed_log == system.replicas["r1"].ledger.executed_log
     for rid in ("r0", "r1", "r2"):
-        assert recovered.store.differing_keys(system.replicas[rid].store) == set()
+        peer = system.replicas[rid].ledger.store
+        assert recovered.ledger.store.differing_keys(peer) == set()
     system.validate_safety()
+
+
+def test_a_zyzzyva_replica_recovered_by_state_transfer_keeps_the_fast_path():
+    """The transfer carries the Zyzzyva history hash: a replica that
+    catches up by state transfer signs its later spec-responses with the
+    same history hash as its peers, so clients keep completing on the
+    3f+1 fast path."""
+    config = SystemConfig(
+        protocol="zyzzyva",
+        num_replicas=4,
+        num_clients=32,
+        client_groups=4,
+        batch_size=6,
+        ycsb_records=300,
+        warmup=millis(20),
+        measure=millis(100),
+        seed=7,
+        checkpoint_txns=60,
+        client_retransmit=millis(4),
+        state_transfer_retry=millis(5),
+        zyzzyva_client_timeout=millis(3),
+    )
+    system = ResilientDBSystem(config)
+    system.faults.crash_at("r3", millis(25))
+    system.recover_replica("r3", at_ns=millis(60))
+    result = system.run()
+    recovered = system.replicas["r3"].ledger
+    assert system.replicas["r3"].recoveries_completed >= 1
+    by_watermark = {}
+    for replica in system.replicas.values():
+        ledger = replica.ledger
+        by_watermark.setdefault(ledger.executed_through, set()).add(
+            ledger.history_hash
+        )
+    assert all(len(hashes) == 1 for hashes in by_watermark.values())
+    # r3's own hash is the history chain over the order its peers executed
+    expected = GENESIS_HISTORY
+    for sequence, digest in system.replicas["r1"].ledger.executed_log:
+        if sequence > recovered.executed_through:
+            break
+        expected = extend_history(expected, digest)
+    assert recovered.history_hash == expected
+    assert result.fast_path_completions > result.slow_path_completions

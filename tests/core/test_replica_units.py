@@ -133,5 +133,5 @@ def test_replica_endpoint_and_cpu_registered(system):
     replica = system.replicas["r0"]
     assert replica.endpoint.name == "r0"
     assert replica.cpu.cores == system.config.cores_per_replica
-    assert replica.chain.height == 0
+    assert replica.ledger.chain.height == 0
     assert replica.next_exec_sequence == 1

@@ -19,7 +19,7 @@ def test_end_to_end_progress_and_safety(small_config):
 def test_all_replicas_build_identical_chains(small_config):
     system = ResilientDBSystem(small_config)
     system.run()
-    chains = [replica.chain for replica in system.replicas.values()]
+    chains = [replica.ledger.chain for replica in system.replicas.values()]
     min_height = min(chain.height for chain in chains)
     assert min_height > 10
     reference = chains[0]
@@ -36,7 +36,7 @@ def test_commit_certificates_embedded_in_blocks(small_config):
     system = ResilientDBSystem(small_config)
     system.run()
     primary = system.replicas["r0"]
-    block = primary.chain.head()
+    block = primary.ledger.chain.head()
     signers = {signer for signer, _ in block.commit_certificate}
     assert len(signers) >= system.quorum.commit_quorum
 
@@ -49,8 +49,8 @@ def test_checkpoints_stabilise_and_prune(small_config):
     primary = system.replicas["r0"]
     horizon = primary.checkpoints.gc_horizon()
     if horizon > 1:
-        assert primary.chain.get(horizon - 1) is None  # pruned
-        assert len(primary.engine.slots) < primary.chain.height
+        assert primary.ledger.chain.get(horizon - 1) is None  # pruned
+        assert len(primary.engine.slots) < primary.ledger.chain.height
 
 
 def test_requests_complete_with_quorum_not_all_replicas(small_config):
@@ -116,7 +116,7 @@ def test_state_convergence_across_replicas(small_config):
     system = ResilientDBSystem(small_config)
     system.run()
     system.validate_safety()  # includes state-convergence check
-    primary_store = system.replicas["r0"].store
+    primary_store = system.replicas["r0"].ledger.store
     assert primary_store.writes > 0
 
 
@@ -176,7 +176,7 @@ def test_sqlite_backend_runs_and_converges(small_config):
     try:
         result = system.run()
         assert result.completed_requests > 0
-        logs = {r: rep.executed_log for r, rep in system.replicas.items()}
+        logs = {r: rep.ledger.executed_log for r, rep in system.replicas.items()}
         from repro.consensus.safety import check_execution_consistency
 
         check_execution_consistency(logs)

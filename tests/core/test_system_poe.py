@@ -39,6 +39,6 @@ def test_blocks_synthesise_quorum_certificates(poe_config):
     system = ResilientDBSystem(poe_config)
     system.run()
     primary = system.replicas["r0"]
-    primary.chain.validate()
-    head = primary.chain.head()
+    primary.ledger.chain.validate()
+    head = primary.ledger.chain.head()
     assert len(head.commit_certificate) >= system.quorum.commit_quorum

@@ -32,12 +32,13 @@ def test_history_hashes_agree(zyz_config):
     system = ResilientDBSystem(zyz_config)
     system.run()
     lengths = {
-        rid: len(replica.executed_log) for rid, replica in system.replicas.items()
+        rid: len(replica.ledger.executed_log)
+        for rid, replica in system.replicas.items()
     }
     # replicas at the same execution point share the same history hash
     by_length = {}
     for rid, replica in system.replicas.items():
-        by_length.setdefault(lengths[rid], set()).add(replica.exec_history_hash)
+        by_length.setdefault(lengths[rid], set()).add(replica.ledger.history_hash)
     for hashes in by_length.values():
         assert len(hashes) == 1
 

@@ -42,9 +42,9 @@ def test_both_lanes_contribute_to_the_global_order():
         # the executed log is exactly the round-robin unification of the
         # replica's own per-lane commit logs
         checked = check_unified_execution(
-            replica.executed_log, engine.commit_log, 2
+            replica.ledger.executed_log, engine.commit_log, 2
         )
-        assert checked == len(replica.executed_log) > 10
+        assert checked == len(replica.ledger.executed_log) > 10
 
 
 def test_honest_replicas_agree_per_lane():
@@ -89,7 +89,7 @@ def test_crashed_lane_primary_wedges_only_its_lane():
     for rid in live:
         replica = system.replicas[rid]
         check_unified_execution(
-            replica.executed_log, replica.engine.commit_log, 2
+            replica.ledger.executed_log, replica.engine.commit_log, 2
         )
     assert system.validate_safety(faulty=("r1",)) > 0
 
@@ -150,7 +150,7 @@ def test_a_request_admitted_in_two_lanes_executes_once():
     system.run()
     assert any(count > 1 for count in proposed.values())
     executed = {
-        rid: replica.executed_requests
+        rid: replica.ledger.executed_requests
         for rid, replica in system.replicas.items()
     }
     assert check_exactly_once(executed) > 0

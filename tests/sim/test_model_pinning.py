@@ -187,9 +187,9 @@ def observe(name: str) -> dict:
     result = system.run()
     replica = system.replicas[replica_id]
     digest = hashlib.sha256()
-    for sequence, batch_digest in replica.executed_log:
+    for sequence, batch_digest in replica.ledger.executed_log:
         digest.update(f"{sequence}:{batch_digest};".encode("utf-8"))
-    digest.update(replica.chain.head().block_hash().encode("utf-8"))
+    digest.update(replica.ledger.chain.head().block_hash().encode("utf-8"))
     return {
         "history": digest.hexdigest()[:24],
         "completed": result.completed_requests,
