@@ -12,9 +12,12 @@ A :class:`ClientGroup` owns one network endpoint and manages
 size changes nothing about offered load or completion logic — it only
 coalesces endpoints.
 
-:class:`ClientGroup` follows the PBFT/PoE client rules; an engine whose
-clients differ names a subclass in its :data:`repro.engines.ENGINES`
-entry.  This module never names a protocol, and must not import
+:class:`ClientGroup` follows the PBFT/PoE client rules, and steers each
+new request to the primary of the view that f+1 replicas report in their
+signed replies; an engine whose clients differ names a subclass in its
+:data:`repro.engines.ENGINES` entry.  A group holds no replica or engine
+object: all it knows of the replicas comes from their messages.  This
+module never names a protocol, and must not import
 :mod:`repro.core.config`: the registry imports the subclasses, which
 import this module.
 """
@@ -71,9 +74,17 @@ class PendingRequest:
 class ClientGroup:
     """A bundle of logical closed-loop clients sharing one endpoint.
 
-    PBFT/PoE rules: send to the view-0 primary (replicas forward if the
-    view has moved on); complete on f+1 matching client-responses or
-    2f+1 matching spec-responses; broadcast on a retransmit timeout."""
+    PBFT/PoE rules: send to the primary of the learned view (replicas
+    forward if the view has moved on since); complete on f+1 matching
+    client-responses or 2f+1 matching spec-responses; broadcast on a
+    retransmit timeout.
+
+    The group learns views from the signed replies it already gets: it
+    keeps the highest view each replica has reported, per lane, and
+    accepts the highest view that f+1 distinct replicas vouch for, so f
+    Byzantine replicas cannot misdirect it.  A single-lane engine has
+    one lane; an engine with several (RCC) names each reply's lane in
+    :meth:`_reply_lane`."""
 
     def __init__(self, system, index: int, logical_clients: int):
         self.system = system
@@ -111,6 +122,16 @@ class ClientGroup:
         self._deferred = 0
         self.busy_nacks_received = 0
         self.completed_requests = 0
+        # -- view learning -------------------------------------------------
+        #: consensus lanes, each with its own view and primary (one unless
+        #: the engine runs concurrent lanes)
+        lanes = config.num_primaries
+        #: per lane: the view f+1 replicas vouch for; its primary is where
+        #: new requests of that lane go
+        self._views: List[int] = [0] * lanes
+        #: per lane: replica -> the highest view it has reported
+        self._reported: List[Dict[str, int]] = [{} for _ in range(lanes)]
+        self._vouchers = system.quorum.f + 1
         #: (request_id, sequence, result digest) per completion, recorded
         #: when ``config.record_completions`` is on (the fuzzer's reply
         #: oracle matches these against replica executed logs)
@@ -158,8 +179,43 @@ class ClientGroup:
         self._arm_timer(request_id, pending)
 
     def _steer_target(self, request_id: int) -> str:
-        """Where a request is sent first, and resent after a busy-nack."""
-        return self.system.replica_ids[0]
+        """Where a request is sent first, and resent after a busy-nack:
+        the learned primary of its lane."""
+        return self._lane_primary(self._lane(request_id))
+
+    # ------------------------------------------------------------------
+    # lanes and learned views
+    # ------------------------------------------------------------------
+    def _lane(self, request_id: int) -> int:
+        """The lane a request is steered to."""
+        return 0
+
+    def _reply_lane(self, sequence: int) -> int:
+        """The lane that ordered the reply for ``sequence``."""
+        return 0
+
+    def _lane_primary(self, lane: int) -> str:
+        """Primary of ``lane`` in its learned view: lane ``k``'s replica
+        list is the replica list rotated by ``k``."""
+        ids = self.system.replica_ids
+        return ids[(lane + self._views[lane]) % len(ids)]
+
+    def _learn_view(self, message) -> None:
+        """Fold the view of one signed reply into its lane's learned view.
+
+        O(1) unless the sender reports a view above its last report; then
+        the learned view becomes the (f+1)-th highest report, the highest
+        view that f+1 distinct replicas have reached.  Reports only rise,
+        so the learned view never falls."""
+        view = message.view
+        lane = self._reply_lane(message.sequence)
+        reported = self._reported[lane]
+        if view <= reported.get(message.sender, 0):
+            return
+        reported[message.sender] = view
+        if view <= self._views[lane] or len(reported) < self._vouchers:
+            return
+        self._views[lane] = sorted(reported.values(), reverse=True)[self._vouchers - 1]
 
     def _arm_timer(self, request_id: int, pending: PendingRequest) -> None:
         """Arm the timer that guards a (re)sent request: exponential
@@ -238,6 +294,7 @@ class ClientGroup:
             message = yield self.endpoint.inbox.get()
             kind = message.kind
             if kind == "client-response":
+                self._learn_view(message)
                 for request_id in message.request_ids:
                     pending = self.pending.get(request_id)
                     if pending is None:
@@ -258,6 +315,7 @@ class ClientGroup:
                             digest=message.result_digest,
                         )
             elif kind == "spec-response":
+                self._learn_view(message)
                 key = (
                     message.view,
                     message.sequence,

@@ -36,6 +36,7 @@ from repro.engines import ENGINES
 from repro.flow import AdmissionController, FlowStats
 from repro.net.message import Message
 from repro.sim.events import SimEvent, Timer
+from repro.sim.process import Process
 from repro.sim.queues import SimPriorityQueue, SimQueue
 from repro.sim.resources import CpuScheduler
 from repro.storage.bufferpool import BufferPool
@@ -151,6 +152,8 @@ class Replica:
         #: (executed sequence, state digest) -> the offers received for it
         self.recovery_offers: Dict[Tuple[int, str], list] = {}
         self.recoveries_completed = 0
+        #: the running recovery loop, if any: a replica runs at most one
+        self._recovery_loop: Optional[Process] = None
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -176,11 +179,17 @@ class Replica:
 
     def begin_recovery(self) -> None:
         """Called by the host after the crash heals: fetch missed state
-        (see :func:`repro.core.recovery.recovery_loop`)."""
-        if self.recovering:
+        (see :func:`repro.core.recovery.recovery_loop`).  A loop that is
+        still alive, even one confirming that execution resumed after an
+        adoption, keeps the job: a second loop would only double the
+        transfer requests."""
+        loop = self._recovery_loop
+        if loop is not None and not loop.finished:
             return
         self.recovering = True
-        self.sim.spawn(recovery.recovery_loop(self), name=f"{self.replica_id}.recovery")
+        self._recovery_loop = self.sim.spawn(
+            recovery.recovery_loop(self), name=f"{self.replica_id}.recovery"
+        )
 
     # read-only views of the ledger that the benchmark harness reads
     executed_log = property(lambda self: self.ledger.executed_log)

@@ -203,13 +203,6 @@ class InstanceCoordinator:
     def steer_instance(self, sender: str, request_id: int) -> int:
         return steer_lane(sender, request_id, self.num_instances)
 
-    def lane_primary(self, lane: int) -> str:
-        """Current primary of one lane (the next view's primary while the
-        lane is mid view change) — what Busy-aware clients rotate over."""
-        instance = self.instances[lane]
-        view = instance.view + (1 if instance.in_view_change else 0)
-        return instance.primary_of(view)
-
     def forward_target(self, sender: str, request_id: int) -> str:
         """Replica a non-leading node forwards this request to: the
         current primary of the request's steer lane (or the next view's

@@ -83,6 +83,46 @@ def test_recovered_state_converges(recovered_run):
     recovered.chain.validate()
 
 
+def test_a_replica_runs_one_recovery_loop_at_a_time(recovery_config, monkeypatch):
+    # short retries and checkpoints make checkpoint votes call
+    # begin_recovery while a loop is still confirming its last adoption
+    from repro.core.ledger import Ledger
+
+    config = recovery_config.with_options(
+        measure=millis(250),
+        state_transfer_retry=millis(5),
+        checkpoint_txns=60,
+    )
+    alive, peak, served = [0], [0], [0]
+    loop = recovery.recovery_loop
+
+    def counted_loop(replica):
+        alive[0] += 1
+        peak[0] = max(peak[0], alive[0])
+        try:
+            yield from loop(replica)
+        finally:
+            alive[0] -= 1
+
+    transfer_since = Ledger.transfer_since
+
+    def counted_transfer(ledger, have):
+        served[0] += 1
+        return transfer_since(ledger, have)
+
+    monkeypatch.setattr(recovery, "recovery_loop", counted_loop)
+    monkeypatch.setattr(Ledger, "transfer_since", counted_transfer)
+    system = ResilientDBSystem(config)
+    system.faults.crash_at("r3", millis(100))
+    system.recover_replica("r3", at_ns=millis(200))
+    system.run()
+    assert system.replicas["r3"].recoveries_completed >= 1
+    assert peak[0] == 1
+    # with a new loop per call, up to 6 ran at once and peers served 165
+    assert 0 < served[0] < 165
+    system.validate_safety()
+
+
 def test_recovery_counter_in_metrics(recovered_run):
     system, _result = recovered_run
     # warmup reset happens at 50ms, recovery at 300ms: counted

@@ -115,18 +115,16 @@ def test_client_steering_matches_the_coordinator_lane(m):
             assert group._steer_target(request_id) == system.replica_ids[lane]
 
 
-def test_a_request_admitted_in_two_lanes_executes_once():
-    # a 3 ms retransmit fires before the first execution: the client's
-    # fallback replica is another lane's primary, which admits the
-    # request into its own lane while the first copy is still in flight
+def _run_counting_proposals(num_primaries, num_replicas):
+    """A deployment whose 3 ms retransmit fires before the first
+    execution; returns the system and how often each request was
+    proposed, over every lane of every replica."""
     from collections import Counter
-
-    from repro.fuzz.oracles import check_exactly_once
 
     system = ResilientDBSystem(
         rcc_config(
-            num_primaries=3,
-            num_replicas=7,
+            num_primaries=num_primaries,
+            num_replicas=num_replicas,
             num_clients=12,
             client_groups=2,
             ops_per_txn=2,
@@ -148,10 +146,29 @@ def test_a_request_admitted_in_two_lanes_executes_once():
 
         replica.engine.propose = spy
     system.run()
+    return system, proposed
+
+
+def test_a_request_admitted_in_two_lanes_executes_once():
+    # with m = n every replica leads a lane, so the client's fallback
+    # replica is another lane's primary, which admits the request into
+    # its own lane while the first copy is still in flight
+    from repro.fuzz.oracles import check_exactly_once
+
+    system, proposed = _run_counting_proposals(num_primaries=4, num_replicas=4)
     assert any(count > 1 for count in proposed.values())
     executed = {
         rid: replica.ledger.executed_requests
         for rid, replica in system.replicas.items()
     }
     assert check_exactly_once(executed) > 0
+    system.validate_safety()
+
+
+def test_fallback_retransmissions_go_to_replicas_that_lead_no_lane():
+    # m < n: the fallback rotates over the replicas that lead no lane,
+    # which forward the request to its lane's primary instead of
+    # proposing a second copy in a lane of their own
+    system, proposed = _run_counting_proposals(num_primaries=3, num_replicas=7)
+    assert proposed and max(proposed.values()) == 1
     system.validate_safety()

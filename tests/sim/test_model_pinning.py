@@ -206,19 +206,21 @@ def observe(name: str) -> dict:
 #: client rules moved into the engine registry.  The three view-change
 #: cases (pbft-primary-crash, pbft-equivocating-primary,
 #: rcc-m2-lane1-crash) were re-recorded when a new primary began
-#: proposing the requests it had forwarded on view entry
+#: proposing the requests it had forwarded on view entry, and again when
+#: clients began steering new requests to the primary of the view that
+#: f+1 replicas report in their replies
 EXPECTED = {
     'pbft-0b0e': {'history': '624bb7bebd14eb467a84edc2', 'completed': 1455, 'p50_s': 0.000879817, 'p99_s': 0.001082036},
     'pbft-backup-recover': {'history': '2f9d37e03a7117a3535b24c5', 'completed': 4260, 'p50_s': 0.000719223, 'p99_s': 0.001243663},
     'pbft-blocking-batch-queue': {'history': '44a4f58d58f49b8d8280ac56', 'completed': 5510, 'p50_s': 0.000927194, 'p99_s': 0.000958036},
-    'pbft-equivocating-primary': {'history': '88f7994cf0281374368436ea', 'completed': 3750, 'p50_s': 0.000812981, 'p99_s': 0.001439937},
+    'pbft-equivocating-primary': {'history': 'd2e818432bf5cb4c2172b67b', 'completed': 4290, 'p50_s': 0.0007083, 'p99_s': 0.001231398},
     'pbft-jitter-lossy': {'history': '21407643f829449414e4ff40', 'completed': 1320, 'p50_s': 0.000758303, 'p99_s': 0.006357611},
     'pbft-n4': {'history': 'f01767b20ec03d2de352d588', 'completed': 1704, 'p50_s': 0.000722655, 'p99_s': 0.001240708},
-    'pbft-primary-crash': {'history': '774ea8b2db89ef95d9c984bc', 'completed': 890, 'p50_s': 0.001235016, 'p99_s': 0.016488182},
+    'pbft-primary-crash': {'history': '153bbfc4064d113475598b35', 'completed': 3600, 'p50_s': 0.000716749, 'p99_s': 0.001249596},
     'poe': {'history': '511d34e1672d0139b1109406', 'completed': 2040, 'p50_s': 0.000599175, 'p99_s': 0.00100642},
     'poe-reject-busy': {'history': 'ab1f30a8984de9afd1b090d2', 'completed': 775, 'p50_s': 0.000595522, 'p99_s': 0.0117083},
     'rcc-m2': {'history': 'd201d9a005161ffc5e9d1842', 'completed': 1332, 'p50_s': 0.000826229, 'p99_s': 0.001410701},
-    'rcc-m2-lane1-crash': {'history': '2a604ff0e476cde9dc2dcee7', 'completed': 848, 'p50_s': 0.002105984, 'p99_s': 0.024578258},
+    'rcc-m2-lane1-crash': {'history': '5d2bf48aead83cdc237171a9', 'completed': 2568, 'p50_s': 0.000837771, 'p99_s': 0.024420254},
     'rcc-m2-reject-busy': {'history': 'a7312063e3bd3019da674cee', 'completed': 1862, 'p50_s': 0.001003601, 'p99_s': 0.011687001},
     'zyzzyva': {'history': '8c325f8a73665c52fa402972', 'completed': 2586, 'p50_s': 0.000474178, 'p99_s': 0.000767654},
     'zyzzyva-backup-crash': {'history': '8252b0efa0ce4a9af9227f6a', 'completed': 644, 'p50_s': 0.000778917, 'p99_s': 0.00344527},
