@@ -75,7 +75,7 @@ def main() -> None:
     recovered = system.replicas["r6"]
     healthy = system.replicas["r1"]
     print(f"r6 crashed at 120ms, healed at 350ms")
-    print(f"recoveries completed: {recovered.recoveries_completed}")
+    print(f"recoveries completed: {recovered.recovery.completed}")
     print(f"executed batches — recovered r6: {len(recovered.ledger.executed_log)}, "
           f"healthy r1: {len(healthy.ledger.executed_log)}")
     for record in system.spans.events(category="recovery"):

@@ -2,8 +2,8 @@
 
 - ``execute`` thread (:func:`execute_loop`): strictly ordered execution.
   Committed batches can finish consensus out of order (§4.5); the
-  execute-thread consumes them in sequence order by waiting exactly for
-  the next sequence number — the simulation-level equivalent of parking
+  execute-thread takes them from the ledger in sequence order, parked
+  until the next one commits — the simulation-level equivalent of parking
   on queue ``txn_id % QC`` (§4.6).  It applies operations to the record
   store (once per client request, however often the request was
   proposed) and appends a block, both in the replica's ledger, answers
@@ -25,6 +25,7 @@ from repro.consensus.base import ExecuteReady, SendTo
 from repro.consensus.messages import (
     Checkpoint, ClientResponse, RequestBatch, SpecResponse,
 )
+from repro.core import recovery
 from repro.core.config import WORK_COSTS
 from repro.core.host import apply_operations, execution_charge
 from repro.crypto.hashing import digest_cost
@@ -33,37 +34,51 @@ from repro.storage.blockchain import CertificationMode
 
 
 # -- ordered execution (§4.5–§4.6) -----------------------------------------
-def enqueue_execute(replica, action: ExecuteReady) -> None:
-    sequence = action.sequence
-    if sequence < replica.next_exec_sequence or sequence in replica.exec_pending:
-        return  # replay after a view change; already executed/queued
-    spans = replica.system.spans
-    if spans.enabled:
-        spans.stamp_sequence(sequence, "commit", replica.sim.now)
-    replica.exec_pending[sequence] = action
-    if sequence == replica.next_exec_sequence and replica.exec_event is not None:
-        event, replica.exec_event = replica.exec_event, None
+class Executor:
+    """Who runs the ledger's next commit."""
+
+    __slots__ = ("parked", "draining")
+
+    def __init__(self):
+        #: the parked execute-thread's wake-up
+        self.parked = None
+        #: a thread is executing: at most one batch executes at a time
+        self.draining = False
+
+
+def wake(replica, thread_id: str):
+    """The next commit in order is waiting, after a commit or a state
+    adoption: trigger the parked execute-thread, or with
+    ``execute_threads=0`` drain on the calling thread."""
+    if not replica.config.execute_threads:
+        yield from drain_executions(replica, thread_id)
+    elif replica.executor.parked is not None:
+        event, replica.executor.parked = replica.executor.parked, None
         event.trigger(None)
 
 
 def execute_loop(replica):
     thread_id = f"{replica.replica_id}.execute"
+    executor = replica.executor
     while True:
-        if replica.next_exec_sequence in replica.exec_pending:
-            yield from drain_executions(replica, thread_id)
-        else:
-            # park until the next-in-order batch commits — the QC-queue
-            # trick means no polling and no dequeue-requeue churn
-            event = SimEvent(replica.sim)
-            replica.exec_event = event
-            yield event
+        yield from drain_executions(replica, thread_id)
+        # park until the next-in-order batch commits — the QC-queue
+        # trick means no polling and no dequeue-requeue churn
+        event = executor.parked = SimEvent(replica.sim)
+        yield event
 
 
 def drain_executions(replica, thread_id: str):
-    while replica.next_exec_sequence in replica.exec_pending:
-        action = replica.exec_pending.pop(replica.next_exec_sequence)
-        replica.next_exec_sequence += 1
-        yield from execute_batch(replica, action, thread_id)
+    """Execute commits in order; a thread that finds another draining
+    leaves them to it."""
+    executor = replica.executor
+    if executor.draining:
+        return
+    executor.draining = True
+    ledger = replica.ledger
+    while ledger.ready:
+        yield from execute_batch(replica, ledger.take_next(), thread_id)
+    executor.draining = False
 
 
 def execute_batch(replica, action: ExecuteReady, thread_id: str):
@@ -202,9 +217,9 @@ def record_checkpoint_vote(replica, sequence, digest, voter) -> None:
     # garbage-collected — only a state transfer can get us back (classic
     # PBFT checkpoint fetch)
     if checkpoints.stable_sequence >= (
-        replica.next_exec_sequence + checkpoints.interval
+        replica.ledger.next_sequence + checkpoints.interval
     ):
-        replica.begin_recovery()
+        recovery.begin(replica)
 
 
 # -- Fig. 7 upper-bound mode: no consensus, no ordering --------------------

@@ -1,8 +1,8 @@
-"""A replica's executed state, shared by execution, state transfer and
-the safety checks, with no clock or simulator: the stages charge the CPU,
-then call one :class:`Ledger` method per operation.  A state transfer
-(§4.7) is one :class:`LedgerTransfer`, so no field can be left behind.
-"""
+"""A replica's executed state and execute order, shared by execution,
+state transfer and the safety checks, with no clock or simulator: the
+stages charge the CPU, then call one :class:`Ledger` method per operation.
+A state transfer (§4.7) is one :class:`LedgerTransfer`, so no field can be
+left behind."""
 
 from __future__ import annotations
 
@@ -33,8 +33,8 @@ class LedgerTransfer(NamedTuple):
 class Ledger:
     """The record store, the chain (§2.2, §4.6), the executed ``(sequence,
     digest)`` log, the state digest, Zyzzyva's history hash, this replica's
-    checkpoint attestations and, with ``record_completions``, the
-    exactly-once oracle's executed request keys."""
+    checkpoint attestations, with ``record_completions`` the exactly-once
+    oracle's executed request keys, and the execute order (§4.5–§4.6)."""
 
     def __init__(self, config, replica_ids: Sequence[str], quorum_size: int,
                  history_chain: bool):
@@ -52,6 +52,9 @@ class Ledger:
         self.executed_requests = [] if config.record_completions else None
         self.state_digest = digest_bytes(b"initial-state")
         self.history_hash = GENESIS_HISTORY
+        #: the execute cursor, and the committed batches waiting for it
+        self.next_sequence = 1
+        self.waiting: Dict[int, ExecuteReady] = {}
 
     @property
     def executed_through(self) -> int:
@@ -60,6 +63,31 @@ class Ledger:
         cursor would leave its adopter a permanent gap in the log."""
         log = self.executed_log
         return log[-1][0] if log else 0
+
+    @property
+    def committed_through(self) -> int:
+        """The highest sequence committed here, executed or not."""
+        return max(self.next_sequence - 1, max(self.waiting, default=0))
+
+    @property
+    def ready(self) -> bool:
+        """Whether the next sequence in order has committed."""
+        return self.next_sequence in self.waiting
+
+    def commit(self, action: ExecuteReady) -> Tuple[bool, bool]:
+        """Take a committed batch, unless it is a replay at or below the
+        cursor or already waiting; returns (taken, :attr:`ready`)."""
+        sequence = action.sequence
+        taken = sequence >= self.next_sequence and sequence not in self.waiting
+        if taken:
+            self.waiting[sequence] = action
+        return taken, self.ready
+
+    def take_next(self) -> ExecuteReady:
+        """Pop the next commit in order (:attr:`ready` must hold) and move
+        the cursor past it."""
+        self.next_sequence += 1
+        return self.waiting.pop(self.next_sequence - 1)
 
     def record(self, action: ExecuteReady, proposer: str, fresh: Sequence) -> None:
         """Execute the batch ``action`` carries: apply its ``fresh``
@@ -122,7 +150,8 @@ class Ledger:
         )
 
     def adopt(self, transfer: LedgerTransfer) -> None:
-        """Install a transferred state that f+1 peers agree on."""
+        """Install a transferred state that f+1 peers agree on; execution
+        resumes just past it."""
         if transfer.snapshot is not None:
             self.store.restore(transfer.snapshot)
         self.executed_log.extend(transfer.log_slice)
@@ -130,3 +159,6 @@ class Ledger:
         self.history_hash = transfer.history_hash
         if transfer.blocks:
             self.chain.adopt(transfer.blocks, transfer.pruned_through)
+        self.next_sequence = transfer.executed_sequence + 1
+        for sequence in [s for s in self.waiting if s < self.next_sequence]:
+            del self.waiting[sequence]

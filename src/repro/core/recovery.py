@@ -9,38 +9,70 @@ any healthy replica's worker answers with :func:`serve_state_transfer`.
 
 from __future__ import annotations
 
+from typing import Dict, Optional, Tuple
+
 from repro.consensus.messages import StateTransferRequest, StateTransferResponse
 from repro.core.config import WORK_COSTS
 from repro.sim.events import Timeout
+from repro.sim.process import Process
+
+
+class Recovery:
+    """A replica's state-transfer job."""
+
+    __slots__ = ("active", "offers", "completed", "loop")
+
+    def __init__(self):
+        #: True while fetching state: consensus participation is paused
+        self.active = False
+        #: (executed sequence, state digest, history hash) -> its offers
+        self.offers: Dict[Tuple[int, str, str], list] = {}
+        self.completed = 0
+        #: the running recovery loop, if any: a replica runs at most one
+        self.loop: Optional[Process] = None
+
+
+def begin(replica) -> None:
+    """Fetch missed state.  A loop that is still alive, even one
+    confirming that execution resumed after an adoption, keeps the job:
+    a second loop would only double the transfer requests."""
+    job = replica.recovery
+    if job.loop is None or job.loop.finished:
+        job.active = True
+        job.loop = replica.sim.spawn(
+            recovery_loop(replica), name=f"{replica.replica_id}.recovery"
+        )
 
 
 def recovery_loop(replica):
+    job = replica.recovery
+    ledger = replica.ledger
     retry_delay = max(replica.config.state_transfer_retry, 1)
     for _attempt in range(50):
-        if not replica.recovering:
+        if not job.active:
             # adopted a snapshot; confirm normal execution resumed —
             # commits proposed while the transfer was in flight may have
             # left a gap the snapshot predates
-            progress_mark = replica.next_exec_sequence
+            progress_mark = ledger.next_sequence
             yield Timeout(retry_delay)
-            if replica.next_exec_sequence > progress_mark:
+            if ledger.next_sequence > progress_mark:
                 return  # executing again: recovery complete
-            replica.recovering = True  # stalled behind a gap: go again
-        replica.recovery_offers = {}
+            job.active = True  # stalled behind a gap: go again
+        job.offers = {}
         request = StateTransferRequest(
-            replica.replica_id, replica.next_exec_sequence - 1
+            replica.replica_id, ledger.next_sequence - 1
         )
         yield from replica.sign_and_queue(
             request, replica.peers, f"{replica.replica_id}.worker",
             scheme=replica.system.replica_scheme,
         )
         yield Timeout(retry_delay)
-    replica.recovering = False  # give up gracefully; stay a follower
+    job.active = False  # give up gracefully; stay a follower
 
 
 def serve_state_transfer(replica, message, thread_id: str):
     """Answer a recovering peer (any healthy replica does)."""
-    if replica.recovering:
+    if replica.recovery.active:
         return
     have = message.have_sequence
     if replica.ledger.executed_through <= have:
@@ -60,18 +92,21 @@ def serve_state_transfer(replica, message, thread_id: str):
     )
 
 
-def absorb_state_response(replica, message) -> None:
-    if not replica.recovering:
-        return
+def absorb_state_response(replica, message) -> bool:
+    """Tally one offer; True iff f+1 now match and the state is adopted."""
+    job = replica.recovery
+    if not job.active:
+        return False
     transfer = message.transfer
-    if transfer.executed_sequence < replica.next_exec_sequence:
-        return  # stale offer
+    if transfer.executed_sequence < replica.ledger.next_sequence:
+        return False  # stale offer
     key = (transfer.executed_sequence, transfer.state_digest, transfer.history_hash)
-    offers = replica.recovery_offers.setdefault(key, [])
+    offers = job.offers.setdefault(key, [])
     offers.append(message)
     if len({offer.sender for offer in offers}) < replica.quorum.f + 1:
-        return
+        return False
     adopt_state(replica, offers[-1])
+    return True
 
 
 def adopt_state(replica, response) -> None:
@@ -79,12 +114,6 @@ def adopt_state(replica, response) -> None:
     transfer = response.transfer
     replica.ledger.adopt(transfer)
     replica.host.adopt(response.executed_keys)
-    replica.next_exec_sequence = transfer.executed_sequence + 1
-    replica.exec_pending = {
-        seq: action
-        for seq, action in replica.exec_pending.items()
-        if seq >= replica.next_exec_sequence
-    }
     engine = replica.engine
     # RCC folds the adopted entries into its per-lane commit logs so the
     # unification invariant (executed ⊆ lane commits) holds across
@@ -95,8 +124,8 @@ def adopt_state(replica, response) -> None:
     # lone, never-quorate primary suspicion would otherwise wedge this
     # replica in a view change forever
     engine.clear_view_change_wedges()
-    replica.recovering = False
-    replica.recoveries_completed += 1
+    replica.recovery.active = False
+    replica.recovery.completed += 1
     replica.system.metrics.counter("recoveries").increment()
     spans = replica.system.spans
     if spans.enabled:

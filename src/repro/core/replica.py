@@ -35,8 +35,7 @@ from repro.core.ledger import Ledger
 from repro.engines import ENGINES
 from repro.flow import AdmissionController, FlowStats
 from repro.net.message import Message
-from repro.sim.events import SimEvent, Timer
-from repro.sim.process import Process
+from repro.sim.events import Timer
 from repro.sim.queues import SimPriorityQueue, SimQueue
 from repro.sim.resources import CpuScheduler
 from repro.storage.bufferpool import BufferPool
@@ -102,13 +101,7 @@ class Replica:
         #: destination -> its output queue (a pure function of the name)
         self._output_queue_for: Dict[str, SimQueue] = {}
 
-        # -- ordered execution state (§4.6) ------------------------------
-        self.exec_pending: Dict[int, ExecuteReady] = {}
-        self.next_exec_sequence = 1
-        #: the parked execute-thread's wake-up (see repro.core.execution)
-        self.exec_event: Optional[SimEvent] = None
-
-        # -- executed state ------------------------------------------------
+        # -- executed state and its execute order (§4.6) -------------------
         self.ledger = Ledger(
             config, replica_ids, quorum.commit_quorum, self.engine.history_chain
         )
@@ -116,6 +109,7 @@ class Replica:
             quorum_size=quorum.checkpoint_quorum,
             interval=config.checkpoint_batches,
         )
+        self.executor = execution.Executor()
 
         # -- buffer pools (§4.8): message objects and transaction objects
         self.message_pool = BufferPool(
@@ -146,14 +140,8 @@ class Replica:
         #: actions — see :mod:`repro.core.byzantine`
         self.adversary = None
 
-        # -- crash recovery / state transfer (§4.7) -------------------------
-        #: True while fetching state: consensus participation is paused
-        self.recovering = False
-        #: (executed sequence, state digest) -> the offers received for it
-        self.recovery_offers: Dict[Tuple[int, str], list] = {}
-        self.recoveries_completed = 0
-        #: the running recovery loop, if any: a replica runs at most one
-        self._recovery_loop: Optional[Process] = None
+        #: crash recovery by state transfer (§4.7)
+        self.recovery = recovery.Recovery()
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -177,20 +165,6 @@ class Replica:
         for i in range(stages.OUTPUT_THREADS):
             stages.OutputStage(self, i)
 
-    def begin_recovery(self) -> None:
-        """Called by the host after the crash heals: fetch missed state
-        (see :func:`repro.core.recovery.recovery_loop`).  A loop that is
-        still alive, even one confirming that execution resumed after an
-        adoption, keeps the job: a second loop would only double the
-        transfer requests."""
-        loop = self._recovery_loop
-        if loop is not None and not loop.finished:
-            return
-        self.recovering = True
-        self._recovery_loop = self.sim.spawn(
-            recovery.recovery_loop(self), name=f"{self.replica_id}.recovery"
-        )
-
     # read-only views of the ledger that the benchmark harness reads
     executed_log = property(lambda self: self.ledger.executed_log)
     chain = property(lambda self: self.ledger.chain)
@@ -198,17 +172,6 @@ class Replica:
     @property
     def is_primary(self) -> bool:
         return self.engine.is_primary
-
-    @property
-    def committed_watermark(self) -> int:
-        """Highest sequence locally committed (handed to execution),
-        whether or not the execute-thread has reached it yet."""
-        return max(self.next_exec_sequence - 1, max(self.exec_pending, default=0))
-
-    @property
-    def executed_watermark(self) -> int:
-        """Highest sequence actually executed, in order."""
-        return self.next_exec_sequence - 1
 
     # -- client requests at the primary's edge (§4.1, repro.flow) ----------
     def admit_client_request(self, message: ClientRequest) -> bool:
@@ -328,9 +291,12 @@ class Replica:
                     action.message, [action.dst], thread_id, scheme=scheme
                 )
             elif isinstance(action, ExecuteReady):
-                execution.enqueue_execute(self, action)
-                if not self.config.execute_threads:
-                    yield from execution.drain_executions(self, thread_id)
+                taken, ready = self.ledger.commit(action)
+                spans = self.system.spans
+                if taken and spans.enabled:
+                    spans.stamp_sequence(action.sequence, "commit", self.sim.now)
+                if ready:
+                    yield from execution.wake(self, thread_id)
             elif isinstance(action, StartViewChangeTimer):
                 self._arm_vc_timer(action.sequence)
             elif isinstance(action, CancelViewChangeTimer):

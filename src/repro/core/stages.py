@@ -310,9 +310,6 @@ def worker_loop(replica):
                 continue
         else:
             yield from handle_protocol_message(replica, message, thread_id)
-            # 0E pipeline: the worker also executes whatever became ready
-            if not replica.config.execute_threads:
-                yield from execution.drain_executions(replica, thread_id)
             continue
         if pending:
             batch_requests, pending = pending, []
@@ -336,7 +333,9 @@ def handle_protocol_message(replica, message: Message, thread_id: str):
         yield from recovery.serve_state_transfer(replica, message, thread_id)
         return
     if message.kind == "state-response":
-        recovery.absorb_state_response(replica, message)
+        if recovery.absorb_state_response(replica, message) and replica.ledger.ready:
+            # the adopted state may end just below a waiting commit
+            yield from execution.wake(replica, thread_id)
         return
     if message.kind in _PROPOSAL_KINDS:
         # a backup re-hashes the batch string to check the digest — the
@@ -352,7 +351,7 @@ def handle_protocol_message(replica, message: Message, thread_id: str):
             if digest_bytes(batch.batch_bytes()) != message.digest:
                 replica.invalid_messages += 1
                 return
-    if replica.recovering:
+    if replica.recovery.active:
         return  # consensus participation resumes after adoption
     actions = replica.engine.handle(message)
     if actions is None:
@@ -372,7 +371,7 @@ def balance_loop(replica):
     thread_id = f"{replica.replica_id}.worker"
     while True:
         yield Timeout(RCC_BALANCE_INTERVAL)
-        if replica.recovering:
+        if replica.recovery.active:
             continue
         actions = replica.engine.balance_actions()
         if actions:

@@ -18,6 +18,7 @@ from repro.consensus.safety import (
     check_execution_consistency,
     check_state_convergence,
 )
+from repro.core import recovery
 from repro.core.clientmgr import ClientGroup
 from repro.core.config import SystemConfig
 from repro.core.replica import Replica
@@ -200,7 +201,7 @@ class ResilientDBSystem:
 
         def _heal() -> None:
             self.faults.recover(replica_id)
-            self.replicas[replica_id].begin_recovery()
+            recovery.begin(self.replicas[replica_id])
 
         if at_ns is None:
             _heal()

@@ -176,7 +176,7 @@ def run_oracle_bank(
     """Evaluate every applicable oracle; return all violations found.
 
     ``committed_snapshot`` is the per-replica committed watermark sampled
-    *before* the quiesce window (see ``Replica.committed_watermark``); the
+    *before* the quiesce window (see ``Ledger.committed_through``); the
     liveness oracle compares it against executed watermarks now.
     """
     violations: List[Violation] = []
@@ -249,7 +249,7 @@ def run_oracle_bank(
     if committed_snapshot is not None and _liveness_applicable(scenario):
         liveness_faulty = tuple(sorted(byzantine | ever_crashed))
         executed = {
-            rid: replica.executed_watermark
+            rid: replica.ledger.executed_through
             for rid, replica in system.replicas.items()
         }
         try:

@@ -150,7 +150,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
         system.run()
         byzantine = set(scenario.byzantine_targets)
         committed = {
-            rid: replica.committed_watermark
+            rid: replica.ledger.committed_through
             for rid, replica in system.replicas.items()
             if rid not in byzantine
         }

@@ -103,7 +103,7 @@ class PipelineSampler:
                 sum(queue.depth for queue in replica.output_queues),
             )
             self._record(
-                at, f"{replica_id}.exec-pending", len(replica.exec_pending)
+                at, f"{replica_id}.exec-pending", len(replica.ledger.waiting)
             )
             flow = replica.flow
             self._record(at, f"{replica_id}.flow.shed", flow.shed_requests)

@@ -125,8 +125,8 @@ def test_a_request_proposed_twice_executes_once(small_config, monkeypatch):
     ]
     for sequence, batch in enumerate(batches, start=1):
         batch.digest = f"d{sequence}"
-        execution.enqueue_execute(
-            replica, ExecuteReady(sequence=sequence, view=0, request=batch)
+        replica.ledger.commit(
+            ExecuteReady(sequence=sequence, view=0, request=batch)
         )
     system.sim.spawn(execution.drain_executions(replica, "r1.execute"))
     system.sim.run()

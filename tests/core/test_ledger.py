@@ -123,3 +123,62 @@ def test_prune_drops_blocks_below_the_horizon_and_a_transfer_says_so():
     target.adopt(transfer)
     assert target.chain.head() == source.chain.head()
     target.chain.validate()
+
+
+# -- the execute order ------------------------------------------------------
+def test_commit_drops_a_duplicate_and_a_replay():
+    state = ledger()
+    assert state.commit(action(5, 1)) == (True, False)
+    assert state.commit(action(5, 1)) == (False, False)
+    assert list(state.waiting) == [5]
+    # already-executed sequences are ignored too
+    state.next_sequence = 10
+    assert state.commit(action(7, 2)) == (False, False)
+    assert 7 not in state.waiting
+
+
+def test_take_next_follows_sequence_order():
+    state = ledger()
+    for sequence in (3, 2):
+        assert state.commit(action(sequence, sequence)) == (True, False)
+    assert not state.ready  # sequence 1 has not committed
+    assert state.next_sequence == 1
+    # committing the next sequence reports it ready
+    assert state.commit(action(1, 1)) == (True, True)
+    taken = []
+    while state.ready:
+        taken.append(state.take_next().sequence)
+    assert taken == [1, 2, 3]
+    assert state.next_sequence == 4
+    assert not state.ready and not state.waiting
+    # the cursor moves as a batch is taken, before it is recorded
+    assert state.executed_through == 0
+
+
+def test_committed_through_counts_waiting_commits():
+    state = ledger()
+    assert state.committed_through == 0
+    state.commit(action(4, 4))
+    assert state.committed_through == 4  # a commit above a gap counts
+    state.commit(action(1, 1))
+    record(state, RequestKeySet(), state.take_next())
+    assert (state.executed_through, state.committed_through) == (1, 4)
+    state.commit(action(2, 2))
+    record(state, RequestKeySet(), state.take_next())
+    assert state.committed_through == 4
+    assert list(state.waiting) == [4]
+
+
+def test_adopt_moves_the_cursor_and_keeps_only_later_commits():
+    source = ledger()
+    record(source, RequestKeySet(), *(action(seq, seq) for seq in range(1, 6)))
+    target = ledger()
+    for sequence in (2, 5, 6, 8):
+        target.commit(action(sequence, sequence))
+    target.adopt(source.transfer_since(0))
+    assert target.next_sequence == 6
+    assert list(target.waiting) == [6, 8]
+    assert target.ready
+    assert (target.executed_through, target.committed_through) == (5, 8)
+    # a replay of an adopted sequence is dropped
+    assert target.commit(action(4, 4)) == (False, True)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.consensus.messages import StateTransferResponse
+from repro.consensus.base import ExecuteReady
+from repro.consensus.messages import StateTransferResponse, make_null_batch
 from repro.consensus.zyzzyva import GENESIS_HISTORY, extend_history
-from repro.core import ResilientDBSystem, SystemConfig, recovery
+from repro.core import ResilientDBSystem, SystemConfig, execution, recovery, stages
 from repro.core.ledger import LedgerTransfer
 from repro.sim.clock import millis, seconds
 
@@ -42,7 +43,7 @@ def test_recovered_replica_catches_up(recovered_run):
     system, _result = recovered_run
     recovered = system.replicas["r3"]
     healthy = system.replicas["r1"]
-    assert recovered.recoveries_completed >= 1
+    assert recovered.recovery.completed >= 1
     # caught up to within a small window of the healthy replicas
     assert len(recovered.ledger.executed_log) > 0.8 * len(healthy.ledger.executed_log)
     system.validate_safety()
@@ -56,7 +57,7 @@ def test_state_transfer_carries_the_executed_request_keys(recovery_config):
     system.recover_replica("r3", at_ns=millis(300))
     system.run()
     recovered = system.replicas["r3"]
-    assert recovered.recoveries_completed >= 1
+    assert recovered.recovery.completed >= 1
     # r3 executed none of the adopted range itself, yet knows every
     # request executed there, so it skips the duplicates its peers skip
     own = {key for _, keys in recovered.ledger.executed_requests for key in keys}
@@ -64,7 +65,7 @@ def test_state_transfer_carries_the_executed_request_keys(recovery_config):
     adopted = [
         key
         for sequence, keys in healthy
-        if sequence <= recovered.executed_watermark
+        if sequence <= recovered.ledger.executed_through
         for key in keys
         if key not in own
     ]
@@ -85,7 +86,7 @@ def test_recovered_state_converges(recovered_run):
 
 def test_a_replica_runs_one_recovery_loop_at_a_time(recovery_config, monkeypatch):
     # short retries and checkpoints make checkpoint votes call
-    # begin_recovery while a loop is still confirming its last adoption
+    # recovery.begin while a loop is still confirming its last adoption
     from repro.core.ledger import Ledger
 
     config = recovery_config.with_options(
@@ -116,7 +117,7 @@ def test_a_replica_runs_one_recovery_loop_at_a_time(recovery_config, monkeypatch
     system.faults.crash_at("r3", millis(100))
     system.recover_replica("r3", at_ns=millis(200))
     system.run()
-    assert system.replicas["r3"].recoveries_completed >= 1
+    assert system.replicas["r3"].recovery.completed >= 1
     assert peak[0] == 1
     # with a new loop per call, up to 6 ran at once and peers served 165
     assert 0 < served[0] < 165
@@ -150,22 +151,22 @@ def test_healthy_replicas_ignore_stale_responses(recovery_config):
     """A state response offering less than we have is discarded."""
     system = ResilientDBSystem(recovery_config)
     replica = system.replicas["r1"]
-    replica.recovering = True
-    replica.next_exec_sequence = 100
+    replica.recovery.active = True
+    replica.ledger.next_sequence = 100
     stale = StateTransferResponse("r2", LedgerTransfer(
         executed_sequence=5, state_digest="d", history_hash=GENESIS_HISTORY,
         log_slice=(), blocks=(), snapshot=None, snapshot_records=0,
         pruned_through=0,
     ))
-    recovery.absorb_state_response(replica, stale)
-    assert replica.recovering  # not adopted
-    assert replica.next_exec_sequence == 100
+    assert not recovery.absorb_state_response(replica, stale)
+    assert replica.recovery.active  # not adopted
+    assert replica.ledger.next_sequence == 100
 
 
 def test_adoption_requires_f_plus_1_matching_offers(recovery_config):
     system = ResilientDBSystem(recovery_config)
     replica = system.replicas["r1"]
-    replica.recovering = True
+    replica.recovery.active = True
 
     def offer(sender, digest, history_hash=GENESIS_HISTORY):
         return StateTransferResponse(sender, LedgerTransfer(
@@ -175,13 +176,14 @@ def test_adoption_requires_f_plus_1_matching_offers(recovery_config):
             blocks=(), snapshot=None, snapshot_records=0, pruned_through=0,
         ))
 
-    recovery.absorb_state_response(replica, offer("r2", "digestA"))
-    assert replica.recovering  # one offer is not enough (f=1 -> need 2)
-    recovery.absorb_state_response(replica, offer("r3", "digestB"))
-    assert replica.recovering  # conflicting digests never combine
-    recovery.absorb_state_response(replica, offer("r0", "digestA"))
-    assert not replica.recovering
-    assert replica.next_exec_sequence == 51
+    assert not recovery.absorb_state_response(replica, offer("r2", "digestA"))
+    assert replica.recovery.active  # one offer is not enough (f=1 -> need 2)
+    assert not recovery.absorb_state_response(replica, offer("r3", "digestB"))
+    assert replica.recovery.active  # conflicting digests never combine
+    assert recovery.absorb_state_response(replica, offer("r0", "digestA"))
+    assert not replica.recovery.active
+    assert replica.recovery.completed == 1
+    assert replica.ledger.next_sequence == 51
 
 
 def test_offers_that_differ_only_in_history_hash_are_not_adopted(
@@ -191,7 +193,7 @@ def test_offers_that_differ_only_in_history_hash_are_not_adopted(
     otherwise matching offer."""
     system = ResilientDBSystem(recovery_config)
     replica = system.replicas["r1"]
-    replica.recovering = True
+    replica.recovery.active = True
 
     def offer(sender, history_hash):
         return StateTransferResponse(sender, LedgerTransfer(
@@ -203,12 +205,60 @@ def test_offers_that_differ_only_in_history_hash_are_not_adopted(
 
     recovery.absorb_state_response(replica, offer("r2", GENESIS_HISTORY))
     recovery.absorb_state_response(replica, offer("r3", "forged"))
-    assert replica.recovering  # f+1 senders, but no f+1 agreement
-    assert replica.next_exec_sequence == 1
+    assert replica.recovery.active  # f+1 senders, but no f+1 agreement
+    assert replica.ledger.next_sequence == 1
     assert replica.ledger.history_hash == GENESIS_HISTORY
     recovery.absorb_state_response(replica, offer("r0", GENESIS_HISTORY))
-    assert not replica.recovering
-    assert replica.next_exec_sequence == 51
+    assert not replica.recovery.active
+    assert replica.ledger.next_sequence == 51
+
+
+@pytest.mark.parametrize("execute_threads", [1, 0])
+def test_an_adoption_below_a_waiting_commit_resumes_execution(
+    recovery_config, execute_threads,
+):
+    """The adopted state ends just below a commit that is already
+    waiting: the adoption wakes the parked execute-thread (with
+    ``execute_threads=0`` the worker drains it), so execution does not
+    stall at the adopted sequence."""
+    system = ResilientDBSystem(
+        recovery_config.with_options(execute_threads=execute_threads)
+    )
+    replica = system.replicas["r1"]
+    if execute_threads:
+        system.sim.spawn(execution.execute_loop(replica))
+        system.sim.run()  # the execute-thread parks: nothing has committed
+        assert replica.executor.parked is not None
+    replica.ledger.commit(
+        ExecuteReady(sequence=51, view=0, request=make_null_batch())
+    )
+    replica.recovery.active = True
+    # the state f+1 peers offer: 50 executed batches
+    peer = system.replicas["r2"].ledger
+    for sequence in range(1, 51):
+        action = ExecuteReady(sequence=sequence, view=0, request=make_null_batch())
+        peer.record(action, "r0", ())
+    transfer = peer.transfer_since(0)
+    scheme = system.replica_scheme
+
+    def offer(sender):
+        message = StateTransferResponse(sender, transfer)
+        message.auth = scheme.authenticate(
+            message.signable_bytes(), sender, ["r1"]
+        )
+        return message
+
+    def worker():
+        for sender in ("r2", "r0"):
+            yield from stages.handle_protocol_message(
+                replica, offer(sender), "r1.worker"
+            )
+
+    system.sim.spawn(worker())
+    system.sim.run()
+    assert replica.recovery.completed == 1
+    assert replica.ledger.executed_through == 51
+    assert replica.ledger.next_sequence == 52
 
 
 def test_recovered_store_matches_peers_and_snapshot_counts_the_table(
@@ -273,7 +323,7 @@ def test_a_zyzzyva_replica_recovered_by_state_transfer_keeps_the_fast_path():
     system.recover_replica("r3", at_ns=millis(60))
     result = system.run()
     recovered = system.replicas["r3"].ledger
-    assert system.replicas["r3"].recoveries_completed >= 1
+    assert system.replicas["r3"].recovery.completed >= 1
     by_watermark = {}
     for replica in system.replicas.values():
         ledger = replica.ledger

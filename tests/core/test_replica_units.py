@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.consensus.base import ExecuteReady
 from repro.consensus.messages import ClientRequest, RequestBatch, make_null_batch
-from repro.core import ResilientDBSystem, execution, stages
+from repro.core import ResilientDBSystem, stages
 from repro.workloads import Operation, OpType, Transaction
 
 
@@ -36,20 +35,6 @@ def test_output_queue_routing_is_stable(system):
     # both messages landed on the same queue (per-destination affinity)
     deltas = [b - a for a, b in zip(before, after)]
     assert sorted(deltas) == [0, 2]
-
-
-def test_enqueue_execute_dedupes(system):
-    replica = system.replicas["r0"]
-    action = ExecuteReady(sequence=5, view=0, request=make_batch())
-    execution.enqueue_execute(replica, action)
-    execution.enqueue_execute(replica, action)
-    assert list(replica.exec_pending) == [5]
-    # already-executed sequences are ignored too
-    replica.next_exec_sequence = 10
-    execution.enqueue_execute(
-        replica, ExecuteReady(sequence=7, view=0, request=make_batch())
-    )
-    assert 7 not in replica.exec_pending
 
 
 def test_digest_cost_per_batch_cheaper_than_per_request(system):
@@ -134,4 +119,4 @@ def test_replica_endpoint_and_cpu_registered(system):
     assert replica.endpoint.name == "r0"
     assert replica.cpu.cores == system.config.cores_per_replica
     assert replica.ledger.chain.height == 0
-    assert replica.next_exec_sequence == 1
+    assert replica.ledger.next_sequence == 1

@@ -84,7 +84,7 @@ def test_crashed_lane_primary_wedges_only_its_lane():
         assert engine.instances[0].view == 0  # lane 0 never suspected
         assert engine.instances[1].view >= 1  # lane 1 rescued
     # the merge kept executing long after the crash
-    watermark = max(system.replicas[rid].executed_watermark for rid in live)
+    watermark = max(system.replicas[rid].ledger.executed_through for rid in live)
     assert watermark > 100
     for rid in live:
         replica = system.replicas[rid]
